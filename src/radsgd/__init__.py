@@ -39,6 +39,7 @@ from .linalg import eigenvalues, spectral_radius, subtract_uniform_projector
 from .mac import (
     AccessPolicy,
     brute_force_expected_throughput,
+    decoding_links,
     expected_throughput,
     golden_section_max,
     link_success_prob,
@@ -55,6 +56,7 @@ from .mixing import (
     default_epsilon,
     expected_weight_matrix,
     mask_by_transmission,
+    mix_slot,
     spectral_optimal_probability,
 )
 from .topology import (

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, DomainError
 from .learning import (
     TrainConfig,
     classification_task,
@@ -33,7 +33,7 @@ from .learning import (
 )
 from .linalg import eigenvalues
 from .mac import AccessPolicy, expected_throughput, optimal_access_probability
-from .mixing import consensus_rate, default_epsilon, refine_spectral_minimum
+from .mixing import check_epsilon, consensus_rate, default_epsilon, refine_spectral_minimum
 from .topology import complete, erdos_renyi, from_edge_list, laplacian, ring, to_edge_list
 
 # Distinguishes the dataset stream from per-run streams under one master seed.
@@ -185,6 +185,8 @@ def _validate(config: ExperimentConfig):
             raise ConfigError(f"edge_prob must lie in (0, 1], got {config.edge_prob}")
         if config.graph_seed is None:
             raise ConfigError("graph_seed is required for topology = erdos_renyi")
+        if config.graph_seed < 0:
+            raise ConfigError(f"graph_seed must be nonnegative, got {config.graph_seed}")
     if config.topology == "edge_list":
         if config.edge_list is None:
             raise ConfigError("edge_list (a file path) is required for topology = edge_list")
@@ -249,8 +251,11 @@ def build_datasets(config: ExperimentConfig, n: int):
 
 
 def run_seed(master: int, p: float, replicate: int) -> np.random.SeedSequence:
-    """Per-run seed stream keyed by the replicate and the bit pattern of p."""
-    bits = int(np.float64(p).view(np.uint64))
+    """Per-run seed stream keyed by the replicate and the bit pattern of p.
+
+    Adding 0.0 maps -0.0 to 0.0, so both spellings of zero share a stream.
+    """
+    bits = int(np.float64(p + 0.0).view(np.uint64))
     return np.random.SeedSequence(
         [master, replicate, bits & 0xFFFFFFFF, bits >> 32]
     )
@@ -268,7 +273,13 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
 
 
 def _resolve_epsilon(config: ExperimentConfig, g) -> float:
-    return config.epsilon if config.epsilon is not None else default_epsilon(g)
+    """The configured epsilon, checked against the graph, or the default."""
+    if config.epsilon is None:
+        return default_epsilon(g)
+    try:
+        return check_epsilon(g, config.epsilon)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _rate_point(args) -> float:
@@ -326,13 +337,14 @@ def cmd_analyze(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1)
 
 def _run_once(config: ExperimentConfig, p: float, replicate: int):
     g = build_graph(config)
+    epsilon = _resolve_epsilon(config, g)
     task = _build_task(config)
     datasets, test = build_datasets(config, g.n)
     policy = AccessPolicy.uniform(g.n, p)
     train_config = TrainConfig(
         iterations=config.iterations,
         step_size=config.eta,
-        epsilon=config.epsilon,
+        epsilon=epsilon,
         batch_size=config.batch_size,
         seed=run_seed(config.seed, p, replicate),
         checkpoint_every=config.checkpoint_every,

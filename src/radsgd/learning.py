@@ -24,8 +24,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError
-from .mac import AccessPolicy, sample_broadcast, transmission_matrix
-from .mixing import base_weight_matrix, compensate, default_epsilon, mask_by_transmission
+from .mac import AccessPolicy, decoding_links, sample_broadcast
+from .mixing import check_epsilon, default_epsilon, mix_slot
+
+# The dense per-slot chain that mix_slot replaces in train. perfbench wraps
+# these names in this module (perfbench/tracer.py), so they stay importable
+# from here.
+from .mac import transmission_matrix  # noqa: F401
+from .mixing import compensate, mask_by_transmission  # noqa: F401
 from .topology import Graph
 
 DIVERGENCE_LIMIT = 1e9
@@ -40,11 +46,18 @@ class TaskSpec:
     derivative of loss (checked against finite differences in the tests).
     predict maps (params, features) to labels for accuracy reporting and is
     None for tasks without a notion of accuracy.
+
+    Every callable works on stacked nodes: params has shape (..., dim),
+    features (..., m, f) and labels (..., m), with the same leading node
+    axes on all three. loss returns shape params.shape[:-1], gradient
+    params.shape and predict labels.shape, so one call serves a single
+    node (params (dim,)) or all n nodes at once (params (n, dim) against
+    stacked (n, m, f) features).
     """
 
     kind: str
     dim: int
-    loss: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
+    loss: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     predict: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
@@ -82,10 +95,10 @@ def regression_task() -> TaskSpec:
     """Scalar bias estimation: the model is one constant, loss (theta - y)^2."""
 
     def loss(params, features, labels):
-        return float(np.mean((params[0] - labels) ** 2))
+        return np.mean((params[..., :1] - labels) ** 2, axis=-1)
 
     def gradient(params, features, labels):
-        return np.array([2.0 * np.mean(params[0] - labels)])
+        return 2.0 * np.mean(params[..., :1] - labels, axis=-1, keepdims=True)
 
     return TaskSpec(kind="regression", dim=1, loss=loss, gradient=gradient)
 
@@ -97,35 +110,41 @@ def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = T
     when bias is enabled (the last row is the per-class bias), feature_dim x
     n_classes without. Cluster centers drawn near the origin are generally
     not separable by hyperplanes through the origin, hence the bias default.
+
+    Internally the class scores are laid out (..., n_classes, m), class axis
+    ahead of the sample axis: the softmax reductions then run over an outer
+    axis, which numpy does far faster than over a short innermost one.
     """
     rows = feature_dim + (1 if bias else 0)
+    classes = np.arange(n_classes)[:, np.newaxis]
 
     def logits(params, features):
-        w = params.reshape(rows, n_classes)
-        z = features @ w[:feature_dim]
+        w = params.reshape(params.shape[:-1] + (rows, n_classes))
+        z = np.swapaxes(w[..., :feature_dim, :], -1, -2) @ np.swapaxes(features, -1, -2)
         if bias:
-            z = z + w[feature_dim]
+            z = z + w[..., feature_dim, :, np.newaxis]
         return z
 
-    def log_softmax(z):
-        z = z - z.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
     def loss(params, features, labels):
-        logp = log_softmax(logits(params, features))
-        return float(-np.mean(logp[np.arange(labels.shape[0]), labels]))
+        z = logits(params, features)
+        z = z - z.max(axis=-2, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-2, keepdims=True))
+        picked = np.take_along_axis(logp, labels[..., np.newaxis, :], axis=-2)
+        return -np.mean(picked[..., 0, :], axis=-1)
 
     def gradient(params, features, labels):
-        m = labels.shape[0]
-        probs = np.exp(log_softmax(logits(params, features)))
-        probs[np.arange(m), labels] -= 1.0
-        grad_w = features.T @ probs / m
+        z = logits(params, features)
+        probs = np.exp(z - z.max(axis=-2, keepdims=True))
+        probs /= probs.sum(axis=-2, keepdims=True)
+        probs -= labels[..., np.newaxis, :] == classes
+        grad = probs @ features  # (..., n_classes, feature_dim)
         if bias:
-            grad_w = np.vstack([grad_w, probs.mean(axis=0)])
-        return grad_w.reshape(-1)
+            grad = np.concatenate([grad, probs.sum(axis=-1, keepdims=True)], axis=-1)
+        grad = np.swapaxes(grad, -1, -2) / labels.shape[-1]
+        return grad.reshape(grad.shape[:-2] + (-1,))
 
     def predict(params, features):
-        return np.argmax(logits(params, features), axis=1)
+        return np.argmax(logits(params, features), axis=-2)
 
     return TaskSpec(
         kind="classification",
@@ -215,8 +234,8 @@ def generate_classification_data(
 
 
 def local_gradient(task: TaskSpec, params: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean loss gradient over a nonempty batch."""
-    if labels.shape[0] == 0:
+    """Mean loss gradient over a nonempty batch, for one node or stacked nodes."""
+    if labels.shape[-1] == 0:
         raise DomainError("gradient requires a nonempty batch")
     return task.gradient(params, features, labels)
 
@@ -231,42 +250,47 @@ class TrainState:
     rng: np.random.Generator
 
 
-def _draw_batch(dataset: LocalDataset, batch_size: int | None, rng: np.random.Generator):
-    if batch_size is None or batch_size >= dataset.size:
-        return dataset.features, dataset.labels
+def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int | None, rng: np.random.Generator):
+    """Per-node minibatches without replacement, drawn in node order."""
+    n, m = labels.shape
+    if batch_size is None or batch_size >= m:
+        return features, labels
     if batch_size < 1:
         raise DomainError(f"batch_size must be positive, got {batch_size}")
-    idx = rng.choice(dataset.size, size=batch_size, replace=False)
-    return dataset.features[idx], dataset.labels[idx]
+    idx = np.stack([rng.choice(m, size=batch_size, replace=False) for _ in range(n)])
+    rows = np.arange(n)[:, np.newaxis]
+    return features[rows, idx], labels[rows, idx]
 
 
 def dsgd_step(
     state: TrainState,
-    w_bar: np.ndarray,
-    datasets: list[LocalDataset],
+    mix: Callable[[np.ndarray], np.ndarray],
+    features: np.ndarray,
+    labels: np.ndarray,
     task: TaskSpec,
     batch_size: int | None = None,
 ) -> TrainState:
-    """One adapt-then-combine iteration.
+    """One adapt-then-combine iteration for all n nodes at once.
 
-    Every node j computes its half-step z_j = x_j - eta * g_j(x_j) on its
-    own batch; node i's new model is row i of w_bar applied to the stacked
-    half-steps. With w_bar = I and eta = 0 the state is unchanged; with
-    eta = 0 the step is exactly the linear map w_bar @ params.
+    features (n, m, f) and labels (n, m) stack the nodes' equal-sized local
+    datasets. Every node j computes its half-step z_j = x_j - eta * g_j(x_j)
+    on its own batch, all in one local_gradient call; mix maps the stacked
+    (n, dim) half-steps to the new models, for example lambda z: w @ z for
+    a mixing matrix w. With identity mixing and eta = 0 the state is
+    unchanged; with eta = 0 the step is exactly mix(params).
     """
     n, dim = state.params.shape
-    w = np.asarray(w_bar, dtype=float)
-    if w.shape != (n, n):
-        raise DimensionError(f"mixing matrix shape {w.shape} does not match n={n}")
-    if len(datasets) != n:
-        raise DimensionError(f"expected {n} local datasets, got {len(datasets)}")
-    half = np.empty_like(state.params)
-    for j, dataset in enumerate(datasets):
-        feats, labs = _draw_batch(dataset, batch_size, state.rng)
-        grad = local_gradient(task, state.params[j], feats, labs)
-        half[j] = state.params[j] - state.step_size * grad
+    if features.shape[0] != n or labels.shape[0] != n:
+        raise DimensionError(
+            f"features {features.shape} and labels {labels.shape} do not stack {n} nodes"
+        )
+    feats, labs = _draw_batch(features, labels, batch_size, state.rng)
+    half = state.params - state.step_size * local_gradient(task, state.params, feats, labs)
+    mixed = mix(half)
+    if mixed.shape != (n, dim):
+        raise DimensionError(f"mixing returned shape {mixed.shape}, expected {(n, dim)}")
     return TrainState(
-        params=w @ half,
+        params=mixed,
         iteration=state.iteration + 1,
         step_size=state.step_size,
         rng=state.rng,
@@ -306,6 +330,9 @@ class TrainConfig:
 
 
 def _evaluate(task: TaskSpec, params: np.ndarray, test: LocalDataset):
+    # One node per call on purpose: a stacked call builds (n, test size)
+    # temporaries, which raise peak memory by more than the benchmark's
+    # 5 % bound (see CHANGES.md).
     losses = [task.loss(x, test.features, test.labels) for x in params]
     if task.predict is None:
         acc = np.nan
@@ -328,18 +355,26 @@ def train(
 ) -> MetricTrace:
     """Run D-SGD with random access and broadcast transmission.
 
-    Per iteration: sample broadcast decisions, derive the slot's success
-    indicators, mask the base matrix, compensate it, and apply one
-    adapt-then-combine step. All nodes start from the zero vector.
-    Bit-reproducible for a fixed config and seed. Raises DivergenceError as
-    soon as any parameter magnitude exceeds 1e9.
+    Per iteration: sample broadcast decisions, find the receivers that
+    decode a packet and their senders, and apply one adapt-then-combine
+    step in which only those receivers' rows mix (see mixing.mix_slot).
+    All nodes start from the zero vector. The local datasets must all have
+    the same size; they are stacked once into (n, m, f) / (n, m) arrays so
+    that one gradient call per slot serves every node. Bit-reproducible
+    for a fixed config and seed. Raises DivergenceError as soon as any
+    parameter magnitude exceeds 1e9.
     """
     if config.iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {config.iterations}")
     if policy.n != g.n:
         raise DimensionError(f"policy size {policy.n} does not match n={g.n}")
-    epsilon = config.epsilon if config.epsilon is not None else default_epsilon(g)
-    w = base_weight_matrix(g, epsilon)
+    if len(datasets) != g.n:
+        raise DimensionError(f"expected {g.n} local datasets, got {len(datasets)}")
+    if len({dataset.size for dataset in datasets}) != 1:
+        raise DimensionError("local datasets must all have the same size")
+    features = np.stack([dataset.features for dataset in datasets])
+    labels = np.stack([dataset.labels for dataset in datasets])
+    epsilon = default_epsilon(g) if config.epsilon is None else check_epsilon(g, config.epsilon)
     rng = np.random.default_rng(config.seed)
     state = TrainState(
         params=np.zeros((g.n, task.dim)),
@@ -352,11 +387,12 @@ def train(
         every = 1 if config.iterations <= 1000 else 10
     checkpoints, losses, accs, consensus = [], [], [], []
     for t in range(1, config.iterations + 1):
-        decisions = sample_broadcast(policy, rng)
-        slot = transmission_matrix(g, decisions)
-        w_bar = compensate(mask_by_transmission(w, slot))
+        receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
         with np.errstate(over="ignore", invalid="ignore"):
-            state = dsgd_step(state, w_bar, datasets, task, config.batch_size)
+            state = dsgd_step(
+                state, lambda z: mix_slot(z, receivers, senders, epsilon),
+                features, labels, task, config.batch_size,
+            )
         if not np.all(np.isfinite(state.params)) or np.max(np.abs(state.params)) > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"parameter magnitude exceeded {DIVERGENCE_LIMIT:.0e} at iteration {t} "

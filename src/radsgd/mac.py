@@ -53,6 +53,26 @@ def sample_broadcast(policy: AccessPolicy, rng: np.random.Generator) -> np.ndarr
     return (rng.random(policy.n) < policy.probs).astype(np.int64)
 
 
+def decoding_links(g: Graph, b) -> tuple[np.ndarray, np.ndarray]:
+    """Receivers that decode a packet in a slot with broadcast vector b, and their senders.
+
+    Receiver i decodes iff it is silent and exactly one of its neighbors
+    broadcasts; that neighbor is its sender. Returns (receivers, senders),
+    with receivers ascending. Costs O(|E|), not O(n^2).
+    """
+    bits = np.asarray(b)
+    if bits.shape != (g.n,):
+        raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={g.n}")
+    heads, tails = g.arcs
+    heard = bits[tails] != 0  # arcs whose tail broadcasts
+    loads = np.bincount(heads[heard], minlength=g.n)  # broadcasting neighbors per receiver
+    decodes = (bits == 0) & (loads == 1)
+    # A decoding receiver hears exactly one arc, so these are unique and
+    # come out sorted by receiver.
+    keep = heard & decodes[heads]
+    return heads[keep], tails[keep]
+
+
 def transmission_matrix(g: Graph, b) -> np.ndarray:
     """Per-slot success indicators for broadcast decision vector b.
 
@@ -60,15 +80,11 @@ def transmission_matrix(g: Graph, b) -> np.ndarray:
     receiver i is silent with no other broadcasting neighbor. The diagonal
     is all ones (a node always keeps its own value), and each row carries
     at most one off-diagonal 1 since a node can decode at most one packet.
+    The dense form of decoding_links.
     """
-    bits = np.asarray(b)
-    if bits.shape != (g.n,):
-        raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={g.n}")
-    loads = g.adjacency @ bits  # broadcasting neighbors per receiver
-    decodes = (bits == 0) & (loads == 1)
-    t = g.adjacency * bits[np.newaxis, :] * decodes[:, np.newaxis]
-    t = t.astype(np.int64)
-    np.fill_diagonal(t, 1)
+    receivers, senders = decoding_links(g, b)
+    t = np.eye(g.n, dtype=np.int64)
+    t[receivers, senders] = 1
     return t
 
 

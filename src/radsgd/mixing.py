@@ -29,6 +29,16 @@ def default_epsilon(g: Graph) -> float:
     return 1.0 / (float(g.degrees.max()) + 1.0)
 
 
+def check_epsilon(g: Graph, epsilon: float) -> float:
+    """Return epsilon if it satisfies the strict bound 0 < eps < 1/d_max, else raise DomainError."""
+    d_max = float(g.degrees.max())
+    if not 0.0 < epsilon < 1.0 / d_max:
+        raise DomainError(
+            f"epsilon must lie in (0, 1/{int(d_max)}) for this graph, got {epsilon}"
+        )
+    return epsilon
+
+
 def base_weight_matrix(g: Graph, epsilon: float) -> np.ndarray:
     """Base mixing matrix W = I - eps * L.
 
@@ -36,12 +46,7 @@ def base_weight_matrix(g: Graph, epsilon: float) -> np.ndarray:
     1 - eps * d_i on the diagonal. The bound eps < 1/d_max is strict so all
     diagonal entries stay positive.
     """
-    d_max = float(g.degrees.max())
-    if not 0.0 < epsilon < 1.0 / d_max:
-        raise DomainError(
-            f"epsilon must lie in (0, 1/{int(d_max)}) for this graph, got {epsilon}"
-        )
-    return np.eye(g.n) - epsilon * laplacian(g)
+    return np.eye(g.n) - check_epsilon(g, epsilon) * laplacian(g)
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray):
@@ -74,6 +79,21 @@ def compensate(w_masked: np.ndarray) -> np.ndarray:
     out = a.copy()
     off_row_sums = a.sum(axis=1) - np.diag(a)
     np.fill_diagonal(out, 1.0 - off_row_sums)
+    return out
+
+
+def mix_slot(z: np.ndarray, receivers: np.ndarray, senders: np.ndarray, epsilon: float) -> np.ndarray:
+    """One slot's compensated mixing applied to stacked models z (n, dim).
+
+    Sparse form of compensate(mask_by_transmission(W, T)) @ z for the base
+    matrix W = I - eps * L and T = transmission_matrix(g, b), given
+    (receivers, senders) = decoding_links(g, b). A compensated row is 1 - eps
+    on the diagonal and eps at the one decoded sender, or the identity row
+    for a node that decoded nothing, so only the receivers' rows change.
+    Costs O(n * dim) instead of the dense product's O(n^2 * dim).
+    """
+    out = z.copy()
+    out[receivers] = (1.0 - epsilon) * z[receivers] + epsilon * z[senders]
     return out
 
 

@@ -7,6 +7,7 @@ are 0-indexed everywhere, including the edge-list text format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,18 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return int(self.adjacency.sum()) // 2
+
+    @cached_property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both directions of every edge as (heads, tails), sorted by head.
+
+        Computed once per graph; per-slot channel code works on these 2|E|
+        arcs instead of the n x n adjacency.
+        """
+        heads, tails = np.nonzero(self.adjacency)
+        heads.setflags(write=False)
+        tails.setflags(write=False)
+        return heads, tails
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor ids of node i."""

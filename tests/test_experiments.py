@@ -127,6 +127,12 @@ def test_run_seed_reproducible_and_distinct():
     assert not np.array_equal(a, d)
 
 
+def test_run_seed_negative_zero_is_zero():
+    a = np.random.default_rng(run_seed(7, 0.0, 0)).random(4)
+    b = np.random.default_rng(run_seed(7, -0.0, 0)).random(4)
+    assert np.array_equal(a, b)
+
+
 def test_cmd_topology_ring(tmp_path):
     config = ExperimentConfig(topology="ring", n=20)
     result = cmd_topology(config, out_dir=str(tmp_path))
@@ -322,6 +328,40 @@ def test_cli_seed_override_changes_results(tmp_path):
 def test_cli_rejects_bad_parallel(tmp_path):
     config = _write_config(tmp_path / "t.cfg", "topology = ring\nn = 8\n")
     assert main(["topology", "--config", config, "--parallel", "0"]) == 1
+
+
+def _assert_config_error(capsys, argv, field):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0], err
+    assert err.count("error:") == 1
+
+
+def test_cli_negative_graph_seed_is_config_error(tmp_path, capsys):
+    config = _write_config(
+        tmp_path / "t.cfg", "topology = erdos_renyi\nn = 10\nedge_prob = 0.5\ngraph_seed = -3\n"
+    )
+    _assert_config_error(capsys, ["topology", "--config", config, "--out", str(tmp_path)], "graph_seed")
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "analyze"])
+@pytest.mark.parametrize("epsilon", ["0.5", "0", "-0.1"])
+def test_cli_epsilon_out_of_range_is_config_error(tmp_path, capsys, monkeypatch, command, epsilon):
+    import radsgd.experiments
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started despite an invalid epsilon")
+
+    monkeypatch.setattr(radsgd.experiments, "train", no_training)
+    # the ring has d_max = 2, so epsilon must lie in (0, 1/2)
+    config = _write_config(
+        tmp_path / "t.cfg",
+        f"topology = ring\nn = 6\ntask = regression\niterations = 5\np = 0.3\n"
+        f"samples_per_node = 10\ngrid_step = 0.1\nepsilon = {epsilon}\n",
+    )
+    _assert_config_error(capsys, [command, "--config", config, "--out", str(tmp_path)], "epsilon")
 
 
 def test_cli_help_exits_zero():

@@ -147,10 +147,18 @@ def _regression_setup(n, seed=0):
     return task, datasets, test
 
 
+def _stacked(datasets):
+    return np.stack([d.features for d in datasets]), np.stack([d.labels for d in datasets])
+
+
+def _matrix(w):
+    return lambda z: w @ z
+
+
 def test_dsgd_step_identity_mixing_zero_step_is_noop():
     task, datasets, _ = _regression_setup(4)
     state = TrainState(np.array([[1.0], [2.0], [3.0], [4.0]]), 0, 0.0, np.random.default_rng(0))
-    out = dsgd_step(state, np.eye(4), datasets, task)
+    out = dsgd_step(state, _matrix(np.eye(4)), *_stacked(datasets), task)
     assert np.array_equal(out.params, state.params)
     assert out.iteration == 1
 
@@ -159,7 +167,7 @@ def test_dsgd_step_full_averaging_zero_step():
     task, datasets, _ = _regression_setup(4)
     params = np.array([[1.0], [2.0], [3.0], [4.0]])
     state = TrainState(params.copy(), 0, 0.0, np.random.default_rng(0))
-    out = dsgd_step(state, np.full((4, 4), 0.25), datasets, task)
+    out = dsgd_step(state, _matrix(np.full((4, 4), 0.25)), *_stacked(datasets), task)
     assert np.allclose(out.params, 2.5)
 
 
@@ -170,7 +178,7 @@ def test_dsgd_step_zero_step_is_linear_map():
     w /= w.sum(axis=1, keepdims=True)
     params = rng.standard_normal((5, 1))
     state = TrainState(params.copy(), 0, 0.0, np.random.default_rng(0))
-    out = dsgd_step(state, w, datasets, task)
+    out = dsgd_step(state, _matrix(w), *_stacked(datasets), task)
     assert np.allclose(out.params, w @ params, atol=1e-14)
 
 
@@ -178,7 +186,7 @@ def test_dsgd_step_rejects_mismatched_mixing():
     task, datasets, _ = _regression_setup(4)
     state = TrainState(np.zeros((4, 1)), 0, 0.01, np.random.default_rng(0))
     with pytest.raises(DimensionError):
-        dsgd_step(state, np.eye(3), datasets, task)
+        dsgd_step(state, lambda z: np.eye(3) @ z[:3], *_stacked(datasets), task)
 
 
 def test_dsgd_step_preserves_mean_under_full_success():
@@ -193,7 +201,7 @@ def test_dsgd_step_preserves_mean_under_full_success():
         [task.gradient(state.params[j], datasets[j].features, datasets[j].labels) for j in range(6)]
     )
     expected_mean = state.params.mean(axis=0) - 0.05 * grads.mean(axis=0)
-    out = dsgd_step(state, w, datasets, task)
+    out = dsgd_step(state, _matrix(w), *_stacked(datasets), task)
     assert np.abs(out.params.mean(axis=0) - expected_mean).max() <= 1e-10
 
 
@@ -203,7 +211,7 @@ def test_batch_sampling_is_without_replacement():
     datasets = [LocalDataset(0, np.zeros((10, 0)), labels)]
     # batch = dataset size keeps the full batch, so the gradient is exact
     state = TrainState(np.array([[0.0]]), 0, 0.5, np.random.default_rng(0))
-    out = dsgd_step(state, np.eye(1), datasets, task, batch_size=10)
+    out = dsgd_step(state, _matrix(np.eye(1)), *_stacked(datasets), task, batch_size=10)
     assert out.params[0, 0] == pytest.approx(0.5 * 2 * labels.mean(), abs=1e-14)
 
 
@@ -247,8 +255,9 @@ def test_train_noiseless_complete_graph_reaches_mean_bias():
     biases = np.array([ds.labels[0] for ds in datasets])
     w = base_weight_matrix(g, 0.25)
     state = TrainState(np.zeros((4, 1)), 0, 0.01, np.random.default_rng(0))
+    features, labels = _stacked(datasets)
     for _ in range(2000):
-        state = dsgd_step(state, w, datasets, task)
+        state = dsgd_step(state, _matrix(w), features, labels, task)
     assert np.abs(state.params - biases.mean()).max() <= 1e-3
 
 
