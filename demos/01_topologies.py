@@ -8,7 +8,6 @@ usual one-number summary of how well a topology supports averaging.
 
 import numpy as np
 
-from radsgd.linalg import eigenvalues
 from radsgd.topology import complete, erdos_renyi, laplacian, ring, to_edge_list
 
 graphs = {
@@ -18,10 +17,10 @@ graphs = {
 }
 
 for name, g in graphs.items():
-    spectrum = np.sort(eigenvalues(laplacian(g)).real)
+    spectrum = np.linalg.eigvalsh(laplacian(g))
     print(f"--- {name}")
     print(f"    nodes={g.n} edges={g.edge_count} degrees={list(g.degrees)}")
-    print(f"    laplacian spectrum: {np.round(spectrum, 4)}")
+    print(f"    laplacian spectrum: {np.round(spectrum, 4) + 0.0}")  # + 0.0 turns -0.0 into 0.0
     print(f"    algebraic connectivity: {spectrum[1]:.4f}")
 
 # The ring is the sparse extreme: two links per node, connectivity

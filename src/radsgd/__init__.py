@@ -11,7 +11,6 @@ training loop over non-IID local datasets.
 
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DimensionError,
     DivergenceError,
     DomainError,
@@ -35,7 +34,6 @@ from .learning import (
     regression_task,
     train,
 )
-from .linalg import eigenvalues, spectral_radius, subtract_uniform_projector
 from .mac import (
     AccessPolicy,
     brute_force_expected_throughput,
@@ -58,6 +56,7 @@ from .mixing import (
     mask_by_transmission,
     mix_slot,
     spectral_optimal_probability,
+    spectral_radius,
 )
 from .topology import (
     Graph,

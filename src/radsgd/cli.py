@@ -3,8 +3,8 @@
 Every subcommand reads a flat key=value config file and writes its outputs
 into --out. Exit codes: 0 on success, 1 for configuration problems (bad
 flags, malformed config or edge-list files, missing files), 2 for runtime
-or numeric failures (divergent training, eigenvalue trouble, exhausted
-graph generation, I/O errors while writing results).
+or numeric failures (divergent training, exhausted graph generation, I/O
+errors while writing results).
 """
 
 from __future__ import annotations

@@ -9,10 +9,6 @@ class DimensionError(RadsgdError):
     """Input has the wrong shape, an unsupported size, or mismatched dimensions."""
 
 
-class ConvergenceError(RadsgdError):
-    """An iterative numerical routine failed to converge."""
-
-
 class DomainError(RadsgdError):
     """A scalar argument lies outside its valid range."""
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -31,7 +32,6 @@ from .learning import (
     regression_task,
     train,
 )
-from .linalg import eigenvalues
 from .mac import AccessPolicy, expected_throughput, optimal_access_probability
 from .mixing import check_epsilon, consensus_rate, default_epsilon, refine_spectral_minimum
 from .topology import complete, erdos_renyi, from_edge_list, laplacian, ring, to_edge_list
@@ -79,9 +79,12 @@ def _to_int(field: str, value: str) -> int:
 
 def _to_float(field: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{field} must be a number, got {value!r}")
+    if not np.isfinite(number):
+        raise ConfigError(f"{field} must be a finite number, got {value!r}")
+    return number
 
 
 def _to_bool(field: str, value: str) -> bool:
@@ -108,11 +111,16 @@ _KNOWN_KEYS = (
 )
 
 
+# "#" opens a comment at the start of a line or after whitespace, so a "#"
+# inside a value, as in the path a#b/edges.txt, is kept.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _read_pairs(path: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -227,7 +235,10 @@ def build_graph(config: ExperimentConfig):
     if config.topology == "erdos_renyi":
         return erdos_renyi(config.n, config.edge_prob, config.graph_seed)
     with open(config.edge_list, "r", encoding="utf-8") as handle:
-        return from_edge_list(handle.read())
+        g = from_edge_list(handle.read())
+    if g.n < 2:
+        raise ConfigError(f"n must be >= 2 for topology = edge_list, but {config.edge_list} has {g.n} node")
+    return g
 
 
 def _build_task(config: ExperimentConfig):
@@ -483,7 +494,7 @@ def cmd_topology(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1
     with open(edges_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(to_edge_list(g))
     degrees = g.degrees
-    lap_spectrum = np.sort(eigenvalues(laplacian(g)).real)
+    lap_spectrum = np.linalg.eigvalsh(laplacian(g))
     connectivity = float(lap_spectrum[1])
     histogram = {int(d): int(count) for d, count in zip(*np.unique(degrees, return_counts=True))}
     report_lines = [

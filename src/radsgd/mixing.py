@@ -11,7 +11,9 @@ Four matrix roles appear here, all plain float arrays:
 
 The spectral radius of (expected - ones/n) measures the per-slot
 contraction of disagreement and is the quantity minimized over the access
-probability.
+probability. consensus_rate reads it off one symmetric eigenproblem of the
+same size; the dense expected matrix and spectral_radius stay as its
+reference.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import spectral_radius, subtract_uniform_projector
+
+# perfbench wraps radsgd.mixing.success_probability_matrix and
+# radsgd.mixing.spectral_radius by these names; keep both resolvable here.
 from .mac import AccessPolicy, golden_section_max, success_probability_matrix
 from .topology import Graph, laplacian
 
@@ -30,9 +34,12 @@ def default_epsilon(g: Graph) -> float:
 
 
 def check_epsilon(g: Graph, epsilon: float) -> float:
-    """Return epsilon if it satisfies the strict bound 0 < eps < 1/d_max, else raise DomainError."""
+    """Return epsilon if it satisfies the strict bound 0 < eps < 1/d_max, else raise DomainError.
+
+    A graph without edges (one node) bounds eps only from below.
+    """
     d_max = float(g.degrees.max())
-    if not 0.0 < epsilon < 1.0 / d_max:
+    if not (0.0 < epsilon and (d_max == 0.0 or epsilon < 1.0 / d_max)):
         raise DomainError(
             f"epsilon must lie in (0, 1/{int(d_max)}) for this graph, got {epsilon}"
         )
@@ -114,18 +121,34 @@ def expected_weight_matrix(g: Graph, w_base: np.ndarray, policy: AccessPolicy) -
     return expected
 
 
-def consensus_rate(g: Graph, epsilon: float, p: float) -> float:
-    """Spectral radius of (expected compensated matrix - ones/n).
+def spectral_radius(m) -> float:
+    """Largest eigenvalue modulus of a real square matrix (general solver; the reference for consensus_rate)."""
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
-    Values near 1 mean slow consensus; p = 0 and p = 1 both give exactly 1
-    because no packet is ever decoded and the expected matrix degenerates
-    to the identity.
+
+def consensus_rate(g: Graph, epsilon: float, p: float) -> float:
+    """Spectral radius of (expected compensated matrix - ones/n), from one symmetric eigenproblem.
+
+    Under uniform access the expected matrix is E = I - eps * S L with
+    S = diag(p (1-p)^{d_i}), so E is similar to I - eps * H with the
+    symmetric H = S^{1/2} L S^{1/2} and its spectrum is 1 - eps * lambda(H).
+    H is positive semidefinite with lambda_1 = 0, the eigenvalue 1 of E that
+    belongs to the all-ones vector. Subtracting ones/n sends that eigenvalue
+    to 0 and leaves the rest alone (Brauer), so the rate is
+
+        max(|1 - eps * lambda_2(H)|, |1 - eps * lambda_n(H)|),
+
+    0 for a one-node graph. Values near 1 mean slow consensus; p = 0 and
+    p = 1 both give exactly 1 because S = 0 and E is the identity.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"access probability must lie in [0, 1], got {p}")
-    w = base_weight_matrix(g, epsilon)
-    expected = expected_weight_matrix(g, w, AccessPolicy.uniform(g.n, p))
-    return spectral_radius(subtract_uniform_projector(expected))
+    check_epsilon(g, epsilon)
+    root_s = np.sqrt(p * (1.0 - p) ** g.degrees)
+    eig = np.linalg.eigvalsh(root_s[:, None] * laplacian(g) * root_s[None, :])
+    # 1 - eps * lambda is monotone in lambda, so the largest modulus over
+    # lambda_2..lambda_n sits at one of the two ends.
+    return float(np.max(np.abs(1.0 - epsilon * eig[1:]), initial=0.0))
 
 
 def refine_spectral_minimum(g: Graph, epsilon: float, ps: np.ndarray, rates: np.ndarray) -> float:

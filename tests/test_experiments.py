@@ -109,6 +109,13 @@ def test_parse_config_rejects_negative_seed(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("line", ["sigma = nan", "noise_cov = inf", "eta = -inf"])
+def test_parse_config_rejects_non_finite_numbers(tmp_path, line):
+    path = _write_config(tmp_path / "a.cfg", f"topology = ring\nn = 6\n{line}\n")
+    with pytest.raises(ConfigError, match=f"{line.split()[0]} must be a finite number"):
+        parse_config(path)
+
+
 def test_parse_config_edge_list_topology(tmp_path):
     edges = tmp_path / "g.txt"
     edges.write_text("n 3\n0 1\n1 2\n")
@@ -362,6 +369,41 @@ def test_cli_epsilon_out_of_range_is_config_error(tmp_path, capsys, monkeypatch,
         f"samples_per_node = 10\ngrid_step = 0.1\nepsilon = {epsilon}\n",
     )
     _assert_config_error(capsys, [command, "--config", config, "--out", str(tmp_path)], "epsilon")
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "topology"])
+def test_cli_one_node_edge_list_is_config_error(tmp_path, capsys, command):
+    edges = tmp_path / "one.txt"
+    edges.write_text("n 1\n")
+    config = _write_config(
+        tmp_path / "t.cfg",
+        f"topology = edge_list\nedge_list = {edges}\ntask = regression\niterations = 2\np = 0.3\n",
+    )
+    _assert_config_error(capsys, [command, "--config", config, "--out", str(tmp_path / "out")], "edge_list")
+
+
+def test_edge_list_path_may_contain_hash(tmp_path):
+    folder = tmp_path / "a#b"
+    folder.mkdir()
+    edges = folder / "edges.txt"
+    edges.write_text("n 3\n0 1\n1 2\n")
+    config = _write_config(tmp_path / "t.cfg", f"topology = edge_list\nedge_list = {edges}  # pinned\n")
+    assert parse_config(config).edge_list == str(edges)
+    assert main(["topology", "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_analyze_ring_1000_matches_circulant_closed_form(tmp_path):
+    # The expected matrix of a ring is circulant, so the rate has a closed
+    # form; n = 1000 is above the size the general eigensolver was capped at.
+    n, eps = 1000, 1 / 3
+    config = _write_config(tmp_path / "t.cfg", f"topology = ring\nn = {n}\ngrid_step = 0.25\n")
+    assert main(["analyze", "--config", config, "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "analyze.csv", delimiter=",", skiprows=1)
+    p, rate = rows[:, 0], rows[:, 2]
+    assert len(p) == 5
+    s = p * (1 - p) ** 2
+    closed = np.maximum(np.abs(1 - eps * s * (2 - 2 * np.cos(2 * np.pi / n))), np.abs(1 - 4 * eps * s))
+    np.testing.assert_allclose(rate, closed, rtol=0, atol=1e-12)
 
 
 def test_cli_help_exits_zero():

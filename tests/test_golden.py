@@ -1,8 +1,12 @@
-"""Golden outputs: final losses of three seeded runs, pinned to rtol 1e-9.
+"""Golden outputs of seeded runs, pinned to rtol 1e-9.
 
-The references in golden/final_losses.json were recorded before the
-training loop was batched over nodes. Batching reorders floating-point
-sums, so a change may move the last bits but nothing more. Rerecord with
+golden/final_losses.json holds the final losses of three training runs,
+recorded before the training loop was batched over nodes. The analyze.csv
+files, both optima of the two shipped analyze configs and the algebraic
+connectivity of configs/topology_er.cfg were recorded before the consensus
+rate moved from the general eigensolver to the symmetric reduction. Both
+changes reorder floating-point sums, so a change may move the last bits
+but nothing more. Rerecord with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,15 +17,24 @@ change is recorded.
 import csv
 import json
 import os
+import shutil
 import sys
 import tempfile
 
 import numpy as np
 
-from radsgd.experiments import ExperimentConfig, cmd_sweep, cmd_train
+from radsgd.experiments import ExperimentConfig, cmd_analyze, cmd_sweep, cmd_topology, cmd_train, parse_config
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "final_losses.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIR = os.path.join(HERE, "golden")
+GOLDEN = os.path.join(GOLDEN_DIR, "final_losses.json")
+SPECTRAL_GOLDEN = os.path.join(GOLDEN_DIR, "spectral.json")
+CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
 RTOL = 1e-9
+# Absolute floor for entries at or near 0, as perfbench/checks.py uses.
+ATOL = 1e-12
+
+ANALYZE_RUNS = ("analyze_er", "analyze_ring")
 
 RUNS = {
     # The benchmark's classification sweep: full-batch softmax gradients.
@@ -70,16 +83,57 @@ def test_final_losses_match_golden(tmp_path):
             np.testing.assert_allclose(got[key], values, rtol=RTOL, atol=0, err_msg=f"{name} {key}")
 
 
+def analyze_csv_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"{name}.analyze.csv")
+
+
+def spectral_values(out_dir: str) -> dict:
+    """Both optima of each analyze config and the topology config's algebraic connectivity."""
+    values = {}
+    for name in ANALYZE_RUNS:
+        result = cmd_analyze(parse_config(os.path.join(CONFIGS, f"{name}.cfg")), out_dir=os.path.join(out_dir, name))
+        values[name] = {key: result[key] for key in ("throughput_optimal", "spectral_optimal")}
+    result = cmd_topology(parse_config(os.path.join(CONFIGS, "topology_er.cfg")), out_dir=os.path.join(out_dir, "topology"))
+    values["topology_er"] = {"algebraic_connectivity": result["algebraic_connectivity"]}
+    return values
+
+
+def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    return rows[0], np.array(rows[1:], dtype=float)
+
+
+def test_analyze_and_topology_match_golden(tmp_path):
+    with open(SPECTRAL_GOLDEN, encoding="utf-8") as handle:
+        want = json.load(handle)
+    got = spectral_values(str(tmp_path))
+    assert sorted(got) == sorted(want)
+    for name, values in want.items():
+        for key, value in values.items():
+            np.testing.assert_allclose(got[name][key], value, rtol=RTOL, atol=ATOL, err_msg=f"{name} {key}")
+    for name in ANALYZE_RUNS:
+        want_header, want_rows = _read_csv(analyze_csv_path(name))
+        got_header, got_rows = _read_csv(str(tmp_path / name / "analyze.csv"))
+        assert got_header == want_header
+        assert want_rows.shape == (1001, 3)
+        np.testing.assert_allclose(got_rows, want_rows, rtol=RTOL, atol=ATOL, err_msg=name)
+
+
 def record():
     with tempfile.TemporaryDirectory() as tmp:
         golden = {
             name: final_values(kind, config, os.path.join(tmp, name))
             for name, (kind, config) in RUNS.items()
         }
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+        spectral = spectral_values(tmp)
+        os.makedirs(GOLDEN_DIR, exist_ok=True)
+        for name in ANALYZE_RUNS:
+            shutil.copyfile(os.path.join(tmp, name, "analyze.csv"), analyze_csv_path(name))
+    for path, values in ((GOLDEN, golden), (SPECTRAL_GOLDEN, spectral)):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(values, handle, indent=1, sort_keys=True)
+            handle.write("\n")
 
 
 if __name__ == "__main__":

@@ -1,26 +1,19 @@
-"""Frozen-value and property tests for the spectral helpers."""
+"""The eigen-solvers behind the spectral core.
+
+consensus_rate and the topology report use LAPACK's symmetric solver
+(np.linalg.eigvalsh); mixing.spectral_radius, the general solver on the
+dense expected matrix, is their reference. These tests pin both on
+matrices with known spectra and check the similarity and the projector
+subtraction that let the symmetric solver stand in for the general one.
+"""
 
 import numpy as np
 import pytest
 
-from radsgd.errors import DimensionError
-from radsgd.linalg import (
-    MAX_EIGEN_SIZE,
-    eigenvalues,
-    spectral_radius,
-    subtract_uniform_projector,
-)
-
-
-def _match_spectra(computed, expected, tol):
-    """Greedy nearest-neighbor matching between two eigenvalue multisets."""
-    remaining = list(computed)
-    for target in expected:
-        dists = [abs(z - target) for z in remaining]
-        k = int(np.argmin(dists))
-        assert dists[k] < tol, f"no eigenvalue within {tol} of {target}: residual {dists[k]}"
-        remaining.pop(k)
-    assert not remaining
+from radsgd.errors import DomainError
+from radsgd.mac import AccessPolicy
+from radsgd.mixing import base_weight_matrix, consensus_rate, default_epsilon, expected_weight_matrix, spectral_radius
+from radsgd.topology import erdos_renyi, laplacian, ring
 
 
 def _circulant(first_row):
@@ -46,6 +39,11 @@ def _det_elimination(m):
     return sign * det
 
 
+def _random_symmetric(rng, n, scale=1.0):
+    a = rng.standard_normal((n, n)) * scale
+    return (a + a.T) / 2.0
+
+
 # Expected matrix of a 6-ring with epsilon = 1/3, p = 1/3: circulant with
 # 4/81 on the two ring edges and 73/81 on the diagonal. Its eigenvalues are
 # 1 - 2*eps*p*(1-p)^2 * (1 - cos(2 pi k / 6)), evaluated here as fractions.
@@ -54,15 +52,15 @@ RING6_EIGS = [1.0, 77 / 81, 69 / 81, 65 / 81, 69 / 81, 77 / 81]
 
 
 def test_identity_eigenvalues():
-    _match_spectra(eigenvalues(np.eye(3)), [1.0, 1.0, 1.0], 1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(np.eye(3)), [1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_symmetric_permutation_eigenvalues():
-    _match_spectra(eigenvalues([[0.0, 1.0], [1.0, 0.0]]), [1.0, -1.0], 1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh([[0.0, 1.0], [1.0, 0.0]]), [-1.0, 1.0], atol=1e-12)
 
 
 def test_ring6_expected_matrix_eigenvalues():
-    _match_spectra(eigenvalues(RING6_EXPECTED), RING6_EIGS, 1e-10)
+    np.testing.assert_allclose(np.linalg.eigvalsh(RING6_EXPECTED), sorted(RING6_EIGS), atol=1e-10)
 
 
 def test_spectral_radius_zero_matrix():
@@ -73,48 +71,35 @@ def test_spectral_radius_nilpotent():
     assert spectral_radius([[0.0, 2.0], [0.0, 0.0]]) < 1e-12
 
 
-def test_spectral_radius_ring6_consensus():
-    shifted = subtract_uniform_projector(RING6_EXPECTED)
-    rho = spectral_radius(shifted)
-    assert rho == pytest.approx(1 - 2 * (1 / 3) * (1 / 3) * (4 / 9) * (1 - np.cos(np.pi / 3)), abs=1e-12)
-    assert rho == pytest.approx(77 / 81, abs=1e-12)
-    # cross-check against plain power iteration on the symmetric matrix
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(6)
-    for _ in range(500):
-        v = shifted @ v
-        v /= np.linalg.norm(v)
-    assert np.linalg.norm(shifted @ v) == pytest.approx(rho, abs=1e-10)
-
-
 def test_subtract_uniform_projector_cases():
-    np.testing.assert_allclose(
-        subtract_uniform_projector(np.full((3, 3), 1 / 3)), np.zeros((3, 3)), atol=1e-15
-    )
-    np.testing.assert_allclose(
-        subtract_uniform_projector(np.eye(2)), [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15
-    )
-    out = subtract_uniform_projector(np.eye(4))
-    assert np.allclose(np.diag(out), 0.75)
-    off = out[~np.eye(4, dtype=bool)]
-    assert np.allclose(off, -0.25)
+    # Subtracting ones/n from a row-stochastic matrix sends its eigenvalue 1
+    # (eigenvector: all ones) to 0 and keeps the rest of the spectrum.
+    for m, spectrum in (
+        (np.full((3, 3), 1 / 3), [1.0, 0.0, 0.0]),
+        (np.eye(2), [1.0, 1.0]),
+        (RING6_EXPECTED, RING6_EIGS),
+    ):
+        n = m.shape[0]
+        want = sorted(spectrum)
+        want.remove(1.0)
+        np.testing.assert_allclose(np.linalg.eigvalsh(m - 1.0 / n), sorted(want + [0.0]), atol=1e-12)
 
 
 def test_eigenvalue_sum_matches_trace():
     rng = np.random.default_rng(42)
     for _ in range(100):
         n = int(rng.integers(1, 9))
-        a = rng.standard_normal((n, n)) * rng.uniform(0.1, 10)
+        a = _random_symmetric(rng, n, rng.uniform(0.1, 10))
         trace = np.trace(a)
-        assert abs(eigenvalues(a).sum() - trace) <= 1e-8 * (1 + abs(trace))
+        assert abs(np.linalg.eigvalsh(a).sum() - trace) <= 1e-8 * (1 + abs(trace))
 
 
 def test_eigenvalue_modulus_product_matches_determinant():
     rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(1, 9))
-        a = rng.standard_normal((n, n))
-        prod = np.prod(np.abs(eigenvalues(a)))
+        a = _random_symmetric(rng, n)
+        prod = np.prod(np.abs(np.linalg.eigvalsh(a)))
         det = abs(_det_elimination(a))
         # relative bound with a small absolute guard for near-singular draws
         assert abs(prod - det) <= 1e-6 * (1e-9 + det)
@@ -131,47 +116,32 @@ def test_circulant_matches_dft_formula():
     rng = np.random.default_rng(11)
     for n in (4, 6, 17, 32, 64):
         row = rng.standard_normal(n)
+        row[1:] = (row[1:] + row[1:][::-1]) / 2.0  # r_k = r_{n-k}: symmetric, real DFT
         # rows are right-rotations of the first row, so the spectrum is the
         # DFT of that row
-        _match_spectra(eigenvalues(_circulant(row)), np.fft.fft(row), 1e-8)
-
-
-def test_complex_eigenvalues_in_conjugate_pairs():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        vals = eigenvalues(rng.standard_normal((7, 7)))
-        _match_spectra(vals, np.conj(vals), 1e-9)
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(_circulant(row)), np.sort(np.fft.fft(row).real), atol=1e-8
+        )
 
 
 def test_spectrum_invariant_under_similarity():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((5, 5))
-    s = np.eye(5) + 0.1 * rng.standard_normal((5, 5))
-    transformed = s @ a @ np.linalg.inv(s)
-    _match_spectra(eigenvalues(transformed), eigenvalues(a), 1e-7)
-
-
-def test_rejects_non_square():
-    with pytest.raises(DimensionError):
-        eigenvalues(np.zeros((2, 3)))
-
-
-def test_rejects_empty():
-    with pytest.raises(DimensionError):
-        eigenvalues(np.zeros((0, 0)))
-
-
-def test_rejects_oversized():
-    n = MAX_EIGEN_SIZE + 1
-    with pytest.raises(DimensionError):
-        eigenvalues(np.eye(n))
+    # E = I - eps * S L is similar to I - eps * S^1/2 L S^1/2: the general
+    # solver on E and the symmetric solver on H give one real spectrum.
+    g = erdos_renyi(25, 0.25, seed=4)
+    eps = default_epsilon(g)
+    w = base_weight_matrix(g, eps)
+    for p in (0.05, 0.2, 0.5):
+        expected = expected_weight_matrix(g, w, AccessPolicy.uniform(g.n, p))
+        general = np.linalg.eigvals(expected)
+        root_s = np.sqrt(p * (1 - p) ** g.degrees)
+        symmetric = 1.0 - eps * np.linalg.eigvalsh(root_s[:, None] * laplacian(g) * root_s[None, :])
+        assert np.abs(general.imag).max() <= 1e-9
+        np.testing.assert_allclose(np.sort(general.real), np.sort(symmetric), atol=1e-9)
 
 
 def test_rejects_non_finite():
-    with pytest.raises(ValueError):
-        eigenvalues([[np.nan, 0.0], [0.0, 1.0]])
-
-
-def test_subtract_uniform_projector_rejects_non_square():
-    with pytest.raises(DimensionError):
-        subtract_uniform_projector(np.zeros((3, 2)))
+    g = ring(6)
+    with pytest.raises(DomainError):
+        consensus_rate(g, 1 / 3, float("nan"))
+    with pytest.raises(DomainError):
+        consensus_rate(g, float("nan"), 1 / 3)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from radsgd.errors import DimensionError, DomainError
-from radsgd.linalg import eigenvalues
 from radsgd.mac import AccessPolicy, optimal_access_probability, sample_broadcast, transmission_matrix
 from radsgd.mixing import (
     base_weight_matrix,
@@ -14,11 +13,24 @@ from radsgd.mixing import (
     expected_weight_matrix,
     mask_by_transmission,
     spectral_optimal_probability,
+    spectral_radius,
 )
 from radsgd.topology import complete, erdos_renyi, from_edge_list, ring
 
 COLLISION_DOC = "n 5\n0 1\n0 4\n3 2\n3 4\n"
 PATH3 = from_edge_list("n 3\n0 1\n1 2\n")
+
+# Graphs and access probabilities on which consensus_rate must equal the
+# dense reference spectral_radius(expected - ones/n).
+ORACLE_GRAPHS = {
+    "ring": ring(12),
+    "complete": complete(8),
+    "star": from_edge_list("n 9\n" + "".join(f"0 {i}\n" for i in range(1, 9))),
+    "path": from_edge_list("n 10\n" + "".join(f"{i} {i + 1}\n" for i in range(9))),
+    "er30": erdos_renyi(30, 0.2, seed=0),
+    "er100": erdos_renyi(100, 0.1, seed=0),
+}
+ORACLE_PS = (0.0, 1e-6, 0.01, 0.1, 0.1684, 1 / 3, 0.5, 0.9, 0.999, 1.0)
 
 
 def _enumerated_expected_matrix(g, w, probs):
@@ -60,7 +72,7 @@ def test_base_weight_matrix_doubly_stochastic():
     assert np.allclose(w.sum(axis=1), 1, atol=1e-12)
     assert np.array_equal(w, w.T)
     # second largest absolute eigenvalue below 1 for a connected graph
-    mods = np.sort(np.abs(eigenvalues(w)))
+    mods = np.sort(np.abs(np.linalg.eigvalsh(w)))
     assert mods[-1] == pytest.approx(1.0, abs=1e-10)
     assert mods[-2] < 1.0
 
@@ -202,6 +214,40 @@ def test_consensus_rate_ring_minimized_at_one_third():
     at_opt = consensus_rate(g, 1 / 3, 1 / 3)
     assert at_opt < consensus_rate(g, 1 / 3, 1 / 3 - 0.05)
     assert at_opt < consensus_rate(g, 1 / 3, 1 / 3 + 0.05)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_consensus_rate_matches_dense_oracle(name):
+    g = ORACLE_GRAPHS[name]
+    eps = default_epsilon(g)
+    w = base_weight_matrix(g, eps)
+    for p in ORACLE_PS:
+        expected = expected_weight_matrix(g, w, AccessPolicy.uniform(g.n, p))
+        oracle = spectral_radius(expected - 1.0 / g.n)
+        assert abs(consensus_rate(g, eps, p) - oracle) <= 1e-12, (name, p)
+
+
+def test_consensus_rate_one_node_is_zero():
+    assert consensus_rate(from_edge_list("n 1\n"), 0.5, 0.3) == 0.0
+
+
+def test_spectral_radius_ring6_consensus():
+    # The 6-ring's expected matrix at eps = p = 1/3 is circulant with 4/81
+    # on the ring edges and 73/81 on the diagonal.
+    g = ring(6)
+    expected = expected_weight_matrix(g, base_weight_matrix(g, 1 / 3), AccessPolicy.uniform(6, 1 / 3))
+    shifted = expected - 1 / 6
+    rho = spectral_radius(shifted)
+    assert rho == pytest.approx(1 - 2 * (1 / 3) * (1 / 3) * (4 / 9) * (1 - np.cos(np.pi / 3)), abs=1e-12)
+    assert rho == pytest.approx(77 / 81, abs=1e-12)
+    assert consensus_rate(g, 1 / 3, 1 / 3) == pytest.approx(77 / 81, abs=1e-12)
+    # cross-check against plain power iteration on the symmetric matrix
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(6)
+    for _ in range(500):
+        v = shifted @ v
+        v /= np.linalg.norm(v)
+    assert np.linalg.norm(shifted @ v) == pytest.approx(rho, abs=1e-10)
 
 
 def test_consensus_rate_rejects_bad_p():
