@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -293,6 +294,16 @@ def _resolve_epsilon(config: ExperimentConfig, g) -> float:
         raise ConfigError(str(exc)) from None
 
 
+def _worker_count(parallel: int, jobs: int) -> int:
+    """Pool size for --parallel: no more workers than jobs or CPUs.
+
+    ProcessPoolExecutor starts all its workers up front, whatever the
+    number of jobs, so an unbounded --parallel would fork that many
+    processes.
+    """
+    return min(parallel, jobs, os.cpu_count() or 1)
+
+
 def _rate_point(args) -> float:
     g, epsilon, p = args
     return consensus_rate(g, epsilon, p)
@@ -308,8 +319,9 @@ def cmd_analyze(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1)
     epsilon = _resolve_epsilon(config, g)
     ps = np.arange(0.0, 1.0 + config.grid_step / 2.0, config.grid_step)
     jobs = [(g, epsilon, float(p)) for p in ps]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = _worker_count(parallel, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rates = np.array(list(pool.map(_rate_point, jobs, chunksize=64)))
     else:
         rates = np.array([_rate_point(job) for job in jobs])
@@ -346,11 +358,25 @@ def cmd_analyze(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1)
     }
 
 
-def _run_once(config: ExperimentConfig, p: float, replicate: int):
+@functools.lru_cache(maxsize=1)
+def _build(config: ExperimentConfig):
+    """Task, graph, epsilon and datasets of a training config, memoized.
+
+    Every (p, replicate) cell of a sweep trains on the same graph and data,
+    so a serial sweep builds them once and each pool worker once. Workers
+    build from the config, which pickles, where a TaskSpec's closures do
+    not. cmd_sweep and cmd_train clear the cache first, so an edge-list
+    file is read as it is when the command starts.
+    """
+    task = _build_task(config)
     g = build_graph(config)
     epsilon = _resolve_epsilon(config, g)
-    task = _build_task(config)
     datasets, test = build_datasets(config, g.n)
+    return task, g, epsilon, datasets, test
+
+
+def _run_once(config: ExperimentConfig, p: float, replicate: int):
+    task, g, epsilon, datasets, test = _build(config)
     policy = AccessPolicy.uniform(g.n, p)
     train_config = TrainConfig(
         iterations=config.iterations,
@@ -397,14 +423,16 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
     """
     if not config.probabilities:
         raise ConfigError("p is required for sweep (comma-separated access probabilities)")
-    _build_task(config)  # fail fast on a missing task
+    _build.cache_clear()
+    _build(config)  # fail fast on a config error; serial cells and forked workers reuse it
     jobs = [
         (config, p_index, p, replicate)
         for p_index, p in enumerate(config.probabilities)
         for replicate in range(config.replicates)
     ]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = _worker_count(parallel, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, jobs))
     else:
         outcomes = [_sweep_worker(job) for job in jobs]
@@ -466,6 +494,7 @@ def cmd_train(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
             f"train requires exactly one p value, got {list(config.probabilities) or 'none'}"
         )
     p = config.probabilities[0]
+    _build.cache_clear()
     trace = _run_once(config, p, replicate=0)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "train.csv")

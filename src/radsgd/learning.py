@@ -35,6 +35,9 @@ from .mixing import compensate, mask_by_transmission  # noqa: F401
 from .topology import Graph
 
 DIVERGENCE_LIMIT = 1e9
+# Bound on the logits block a classification evaluator holds at once; it
+# sets how many nodes share one (k, n_classes, T) product.
+EVAL_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,21 @@ class TaskSpec:
     params.shape and predict labels.shape, so one call serves a single
     node (params (dim,)) or all n nodes at once (params (n, dim) against
     stacked (n, m, f) features).
+
+    evaluator is the checkpoint metric. evaluator(features, labels) takes
+    the shared test set, (T, f) and (T,), once per run and returns a
+    function that maps the (n, dim) params of all nodes to (the mean over
+    nodes of loss on the test set, the fraction of (node, sample) pairs
+    that predict gets right), or NaN for the accuracy when predict is None.
+    It equals the per-node loss and predict calls to rounding, from
+    statistics of the test set computed once and with bounded temporaries.
     """
 
     kind: str
     dim: int
     loss: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    evaluator: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], tuple[float, float]]]
     predict: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
@@ -100,7 +112,21 @@ def regression_task() -> TaskSpec:
     def gradient(params, features, labels):
         return 2.0 * np.mean(params[..., :1] - labels, axis=-1, keepdims=True)
 
-    return TaskSpec(kind="regression", dim=1, loss=loss, gradient=gradient)
+    def evaluator(features, labels):
+        # mean_t (theta - y_t)^2 = (theta - mean(y))^2 + var(y). The mean is
+        # kept as a rounded centre plus the mean of the residuals about it,
+        # so labels far from 0 against their spread lose no digits.
+        centre = np.mean(labels)
+        residuals = labels - centre
+        shift = np.mean(residuals)
+        spread = np.mean(residuals ** 2) - shift ** 2
+
+        def evaluate(params):
+            return float(np.mean((params[:, 0] - centre - shift) ** 2) + spread), np.nan
+
+        return evaluate
+
+    return TaskSpec(kind="regression", dim=1, loss=loss, gradient=gradient, evaluator=evaluator)
 
 
 def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = True) -> TaskSpec:
@@ -146,11 +172,43 @@ def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = T
     def predict(params, features):
         return np.argmax(logits(params, features), axis=-2)
 
+    def evaluator(features, labels):
+        size = labels.shape[0]
+        inputs = features.T
+        if bias:
+            inputs = np.vstack([inputs, np.ones(size)])  # (rows, T): the bias row multiplies ones
+        # Position of each sample's label score in a flattened (n_classes, T) block.
+        label_at = labels * size + np.arange(size)
+        # predict's argmax takes the first of tied maxima, so a sample is
+        # wrong when an earlier class scores >= its label or a later one >.
+        earlier = classes < labels  # (n_classes, T)
+        block = max(1, EVAL_BLOCK_BYTES // (n_classes * size * 8))
+
+        def evaluate(params):
+            weights = np.swapaxes(params.reshape(-1, rows, n_classes), -1, -2)
+            total, wrong = 0.0, 0
+            for start in range(0, weights.shape[0], block):
+                z = weights[start:start + block] @ inputs  # (k, n_classes, T)
+                picked = np.take(z.reshape(z.shape[0], -1), label_at, axis=1)  # (k, T)
+                beaten = z > picked[:, np.newaxis]
+                beaten |= earlier & (z == picked[:, np.newaxis])
+                wrong += np.count_nonzero(beaten.any(axis=-2))
+                # -log softmax of the label: log(sum exp(z - top)) + (top - z_label).
+                top = z.max(axis=-2)
+                z -= top[:, np.newaxis]
+                np.exp(z, out=z)
+                total += float(np.sum(np.log(z.sum(axis=-2)) + (top - picked)))
+            count = weights.shape[0] * size
+            return total / count, (count - wrong) / count
+
+        return evaluate
+
     return TaskSpec(
         kind="classification",
         dim=rows * n_classes,
         loss=loss,
         gradient=gradient,
+        evaluator=evaluator,
         predict=predict,
     )
 
@@ -329,20 +387,13 @@ class TrainConfig:
     checkpoint_every: int | None = None
 
 
-def _evaluate(task: TaskSpec, params: np.ndarray, test: LocalDataset):
-    # One node per call on purpose: a stacked call builds (n, test size)
-    # temporaries, which raise peak memory by more than the benchmark's
-    # 5 % bound (see CHANGES.md).
-    losses = [task.loss(x, test.features, test.labels) for x in params]
-    if task.predict is None:
-        acc = np.nan
-    else:
-        acc = float(
-            np.mean([np.mean(task.predict(x, test.features) == test.labels) for x in params])
-        )
+def _evaluate(evaluate: Callable[[np.ndarray], tuple[float, float]], params: np.ndarray):
+    # evaluate is the task's evaluator bound to the test set (TaskSpec):
+    # one call for all n nodes.
+    loss, acc = evaluate(params)
     center = params.mean(axis=0)
     consensus = float(((params - center) ** 2).sum())
-    return float(np.mean(losses)), acc, consensus
+    return loss, acc, consensus
 
 
 def train(
@@ -360,9 +411,10 @@ def train(
     step in which only those receivers' rows mix (see mixing.mix_slot).
     All nodes start from the zero vector. The local datasets must all have
     the same size; they are stacked once into (n, m, f) / (n, m) arrays so
-    that one gradient call per slot serves every node. Bit-reproducible
-    for a fixed config and seed. Raises DivergenceError as soon as any
-    parameter magnitude exceeds 1e9.
+    that one gradient call per slot serves every node, and the task's
+    evaluator is bound to the test set once for all checkpoints.
+    Bit-reproducible for a fixed config and seed. Raises DivergenceError
+    as soon as any parameter magnitude exceeds 1e9.
     """
     if config.iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {config.iterations}")
@@ -375,6 +427,7 @@ def train(
     features = np.stack([dataset.features for dataset in datasets])
     labels = np.stack([dataset.labels for dataset in datasets])
     epsilon = default_epsilon(g) if config.epsilon is None else check_epsilon(g, config.epsilon)
+    evaluate = task.evaluator(test.features, test.labels)
     rng = np.random.default_rng(config.seed)
     state = TrainState(
         params=np.zeros((g.n, task.dim)),
@@ -399,7 +452,7 @@ def train(
                 f"(step_size={config.step_size})"
             )
         if t % every == 0 or t == config.iterations:
-            loss, acc, dist = _evaluate(task, state.params, test)
+            loss, acc, dist = _evaluate(evaluate, state.params)
             checkpoints.append(t)
             losses.append(loss)
             accs.append(acc)

@@ -5,6 +5,7 @@ import pytest
 
 from radsgd.errors import DimensionError
 from radsgd.learning import (
+    EVAL_BLOCK_BYTES,
     LocalDataset,
     TrainConfig,
     classification_task,
@@ -83,3 +84,102 @@ def test_train_rejects_unequal_dataset_sizes():
     with pytest.raises(DimensionError):
         train(g, AccessPolicy.uniform(4, 0.3), classification_task(), datasets[:3] + [short], test,
               TrainConfig(iterations=2))
+
+
+def _per_node_metrics(task, params, features, labels):
+    """The evaluator's oracle: one loss and predict call per node."""
+    loss = np.mean([task.loss(x, features, labels) for x in params])
+    if task.predict is None:
+        return loss, np.nan
+    return loss, np.mean([np.mean(task.predict(x, features) == labels) for x in params])
+
+
+def _assert_matches_oracle(task, params, features, labels):
+    loss, acc = task.evaluator(features, labels)(params)
+    want_loss, want_acc = _per_node_metrics(task, params, features, labels)
+    np.testing.assert_allclose(loss, want_loss, rtol=1e-12, atol=0)
+    if task.predict is None:
+        assert np.isnan(acc)
+    else:
+        # Equal counts of correct predictions; the two means may round apart.
+        assert round(acc * labels.size * len(params)) == round(want_acc * labels.size * len(params))
+        np.testing.assert_allclose(acc, want_acc, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+@pytest.mark.parametrize("scale", [1.0, 300.0])
+def test_evaluator_matches_per_node_loop(name, scale):
+    task, f = TASKS[name]
+    rng = np.random.default_rng(8)
+    n, size = 9, 500
+    params = scale * rng.standard_normal((n, task.dim))
+    features = rng.standard_normal((size, f))
+    labels = rng.integers(0, 4, size) if f else rng.standard_normal(size)
+    if f:
+        logits = np.abs(params.reshape(n, -1, 4)[:, :f].swapaxes(-1, -2) @ features.T)
+        assert logits.max() > 3.0 * scale  # about 1e3 at scale 300
+    _assert_matches_oracle(task, params, features, labels)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_evaluator_zero_params_ties_every_class(bias):
+    # eta = 0 keeps every model at zero: all four classes tie, argmax picks
+    # class 0, and the balanced test set is right on exactly a quarter.
+    task = classification_task(bias=bias)
+    datasets, test = generate_classification_data(8, 5, seed=1)
+    loss, acc = task.evaluator(test.features, test.labels)(np.zeros((8, task.dim)))
+    np.testing.assert_allclose(loss, np.log(4.0), rtol=1e-15)
+    assert acc == 0.25
+    trace = train(ring(8), AccessPolicy.uniform(8, 0.3), task, datasets, test,
+                  TrainConfig(iterations=3, step_size=0.0))
+    np.testing.assert_allclose(trace.avg_test_loss, np.log(4.0), rtol=1e-15)
+    assert np.all(trace.accuracy == 0.25)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_evaluator_breaks_exact_ties_like_argmax(bias):
+    # Small integer weights and inputs make exact ties for the top score
+    # common, between every pair of classes and with the label on either side.
+    task = classification_task(bias=bias)
+    rng = np.random.default_rng(2)
+    size = 400
+    features = rng.integers(-2, 3, (size, 2)).astype(float)
+    labels = rng.integers(0, 4, size)
+    params = rng.integers(-1, 2, (12, task.dim)).astype(float)
+    rows = task.dim // 4
+    inputs = np.column_stack([features, np.ones(size)])[:, :rows]
+    z = params.reshape(12, rows, 4).swapaxes(-1, -2) @ inputs.T
+    top = z == z.max(axis=1, keepdims=True)
+    label_tied = top[:, labels, np.arange(size)] & (top.sum(axis=1) > 1)
+    assert label_tied.mean() > 0.1
+    _assert_matches_oracle(task, params, features, labels)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+def test_evaluator_blocks_need_not_divide_n(bias):
+    task = classification_task(bias=bias)
+    rng = np.random.default_rng(6)
+    size = 1000
+    block = EVAL_BLOCK_BYTES // (4 * size * 8)
+    assert block >= 3
+    features = rng.standard_normal((size, 2))
+    labels = rng.integers(0, 4, size)
+    for n in (1, block - 1, block + 1, 2 * block + 1):
+        _assert_matches_oracle(task, rng.standard_normal((n, task.dim)), features, labels)
+
+
+def test_regression_evaluator_keeps_digits_for_large_labels():
+    task = regression_task()
+    rng = np.random.default_rng(5)
+    offset = 1e8
+    labels = offset + rng.uniform(-1.0, 5.0, 1000) + 0.5 * rng.standard_normal(1000)
+    features = np.zeros((1000, 0))
+    params = offset + np.concatenate([rng.standard_normal((6, 1)), 2.0 + 1e-3 * rng.standard_normal((6, 1))])
+    _assert_matches_oracle(task, params, features, labels)
+    _assert_matches_oracle(task, np.zeros((3, 1)), features, labels)
+    # The uncentred expansion theta^2 - 2 theta mean(y) + mean(y^2) cancels
+    # here, so this case does tell the forms apart.
+    theta = params[:, 0]
+    uncentred = np.mean(theta ** 2 - 2.0 * theta * labels.mean() + np.mean(labels ** 2))
+    want, _ = _per_node_metrics(task, params, features, labels)
+    assert abs(uncentred / want - 1.0) > 1e-6

@@ -1,8 +1,11 @@
 """Config parsing, command, CSV, and CLI tests."""
 
+import os
+
 import numpy as np
 import pytest
 
+import radsgd.experiments
 from radsgd.cli import main
 from radsgd.errors import ConfigError
 from radsgd.experiments import (
@@ -233,6 +236,65 @@ def test_cmd_sweep_parallel_matches_sequential(tmp_path):
     cmd_sweep(_sweep_config(), out_dir=str(tmp_path / "seq"), parallel=1)
     cmd_sweep(_sweep_config(), out_dir=str(tmp_path / "par"), parallel=2)
     assert (tmp_path / "seq" / "sweep.csv").read_bytes() == (tmp_path / "par" / "sweep.csv").read_bytes()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(radsgd.experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radsgd.experiments, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["sweep", "train"])
+def test_graph_and_datasets_built_once_per_command(tmp_path, monkeypatch, command):
+    graphs = _count_calls(monkeypatch, "build_graph")
+    datasets = _count_calls(monkeypatch, "build_datasets")
+    if command == "sweep":
+        cmd_sweep(_sweep_config(replicates=1), out_dir=str(tmp_path / "a"))
+    else:
+        cmd_train(_sweep_config(probabilities=(0.3,)), out_dir=str(tmp_path / "a"))
+    assert (len(graphs), len(datasets)) == (1, 1)
+    # The next command builds afresh, even from an equal config.
+    cmd_sweep(_sweep_config(replicates=1), out_dir=str(tmp_path / "b"))
+    assert (len(graphs), len(datasets)) == (2, 2)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus, want", [(64, 6), (4, 4), (None, None)])
+def test_parallel_workers_capped_by_jobs_and_cpus(tmp_path, monkeypatch, cpus, want):
+    monkeypatch.setattr(radsgd.experiments, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    cmd_sweep(_sweep_config(), out_dir=str(tmp_path / "sweep"), parallel=10_000)
+    # 21 grid points at grid_step 0.05.
+    cmd_analyze(ExperimentConfig(topology="ring", n=8, grid_step=0.05), out_dir=str(tmp_path / "analyze"),
+                parallel=10_000)
+    assert _SerialPool.sizes == ([] if want is None else [want, min(cpus, 21)])
+    serial = tmp_path / "serial"
+    cmd_sweep(_sweep_config(), out_dir=str(serial))
+    assert (serial / "sweep.csv").read_bytes() == (tmp_path / "sweep" / "sweep.csv").read_bytes()
 
 
 def test_cmd_sweep_mixing_beats_endpoints(tmp_path):

@@ -1,7 +1,14 @@
 """Golden outputs of seeded runs, pinned to rtol 1e-9.
 
 golden/final_losses.json holds the final losses of three training runs,
-recorded before the training loop was batched over nodes. The analyze.csv
+recorded before the training loop was batched over nodes.
+golden/checkpoints.json holds the test loss and the accuracy at every
+checkpoint of the same runs, recorded before checkpoint evaluation moved
+from a per-node loop to one evaluator per task. Accuracy is compared at
+atol 1e-12, which pins the count of correct predictions (one prediction is
+worth 1/(n * test size), far above 1e-12) but lets the float move by an
+ulp: a count divided by n * test size is not the same sum as a mean of
+per-node means. The analyze.csv
 files, both optima of the two shipped analyze configs and the algebraic
 connectivity of configs/topology_er.cfg were recorded before the consensus
 rate moved from the general eigensolver to the symmetric reduction. Both
@@ -22,12 +29,14 @@ import sys
 import tempfile
 
 import numpy as np
+import pytest
 
 from radsgd.experiments import ExperimentConfig, cmd_analyze, cmd_sweep, cmd_topology, cmd_train, parse_config
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
 GOLDEN = os.path.join(GOLDEN_DIR, "final_losses.json")
+CHECKPOINT_GOLDEN = os.path.join(GOLDEN_DIR, "checkpoints.json")
 SPECTRAL_GOLDEN = os.path.join(GOLDEN_DIR, "spectral.json")
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
 RTOL = 1e-9
@@ -59,28 +68,75 @@ RUNS = {
 }
 
 
-def final_values(kind: str, config: ExperimentConfig, out_dir: str) -> dict:
-    """Final avg_test_loss and consensus_distance per cell, keyed "p,replicate"."""
+def cell_rows(kind: str, config: ExperimentConfig, out_dir: str) -> dict[str, list[dict]]:
+    """Run one command and return its CSV rows per cell, keyed "p,replicate"."""
     command = cmd_sweep if kind == "sweep" else cmd_train
     command(config, out_dir=out_dir)
     with open(os.path.join(out_dir, f"{kind}.csv"), encoding="utf-8", newline="") as handle:
         rows = list(csv.DictReader(handle))
-    last = {}
+    cells: dict[str, list[dict]] = {}
     for row in rows:
         key = f"{row.get('p', config.probabilities[0])},{row.get('replicate', 0)}"
-        last[key] = [float(row["avg_test_loss"]), float(row["consensus_distance"])]
-    return last
+        cells.setdefault(key, []).append(row)
+    return cells
 
 
-def test_final_losses_match_golden(tmp_path):
+def final_values(cells: dict[str, list[dict]]) -> dict:
+    """Final avg_test_loss and consensus_distance per cell."""
+    return {
+        key: [float(rows[-1]["avg_test_loss"]), float(rows[-1]["consensus_distance"])]
+        for key, rows in cells.items()
+    }
+
+
+def checkpoint_values(cells: dict[str, list[dict]]) -> dict:
+    """Iteration, avg_test_loss and accuracy (None for regression) at every checkpoint."""
+    return {
+        key: {
+            "iteration": [int(row["iteration"]) for row in rows],
+            "avg_test_loss": [float(row["avg_test_loss"]) for row in rows],
+            "accuracy": [float(row["accuracy"]) if row["accuracy"] else None for row in rows],
+        }
+        for key, rows in cells.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def run_cells(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("runs")
+    return {name: cell_rows(kind, config, str(out_dir / name)) for name, (kind, config) in RUNS.items()}
+
+
+def test_final_losses_match_golden(run_cells):
     with open(GOLDEN, encoding="utf-8") as handle:
         want = json.load(handle)
     assert sorted(want) == sorted(RUNS)
-    for name, (kind, config) in RUNS.items():
-        got = final_values(kind, config, str(tmp_path / name))
+    for name, cells in run_cells.items():
+        got = final_values(cells)
         assert sorted(got) == sorted(want[name]), name
         for key, values in want[name].items():
             np.testing.assert_allclose(got[key], values, rtol=RTOL, atol=0, err_msg=f"{name} {key}")
+
+
+def test_checkpoints_match_golden(run_cells):
+    with open(CHECKPOINT_GOLDEN, encoding="utf-8") as handle:
+        want = json.load(handle)
+    assert sorted(want) == sorted(RUNS)
+    for name, cells in run_cells.items():
+        got = checkpoint_values(cells)
+        assert sorted(got) == sorted(want[name]), name
+        for key, values in want[name].items():
+            label = f"{name} {key}"
+            assert got[key]["iteration"] == values["iteration"], label
+            np.testing.assert_allclose(
+                got[key]["avg_test_loss"], values["avg_test_loss"], rtol=RTOL, atol=0, err_msg=label
+            )
+            if values["accuracy"][0] is None:
+                assert got[key]["accuracy"] == values["accuracy"], label
+            else:
+                np.testing.assert_allclose(
+                    got[key]["accuracy"], values["accuracy"], rtol=0, atol=ATOL, err_msg=label
+                )
 
 
 def analyze_csv_path(name: str) -> str:
@@ -122,15 +178,17 @@ def test_analyze_and_topology_match_golden(tmp_path):
 
 def record():
     with tempfile.TemporaryDirectory() as tmp:
-        golden = {
-            name: final_values(kind, config, os.path.join(tmp, name))
+        cells = {
+            name: cell_rows(kind, config, os.path.join(tmp, name))
             for name, (kind, config) in RUNS.items()
         }
         spectral = spectral_values(tmp)
         os.makedirs(GOLDEN_DIR, exist_ok=True)
         for name in ANALYZE_RUNS:
             shutil.copyfile(os.path.join(tmp, name, "analyze.csv"), analyze_csv_path(name))
-    for path, values in ((GOLDEN, golden), (SPECTRAL_GOLDEN, spectral)):
+    golden = {name: final_values(rows) for name, rows in cells.items()}
+    checkpoints = {name: checkpoint_values(rows) for name, rows in cells.items()}
+    for path, values in ((GOLDEN, golden), (CHECKPOINT_GOLDEN, checkpoints), (SPECTRAL_GOLDEN, spectral)):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(values, handle, indent=1, sort_keys=True)
             handle.write("\n")
