@@ -34,7 +34,7 @@ from .learning import (
     train,
 )
 from .mac import AccessPolicy, expected_throughput, optimal_access_probability
-from .mixing import check_epsilon, consensus_rate, default_epsilon, refine_spectral_minimum
+from .mixing import check_epsilon, consensus_rate_scan, default_epsilon, refine_spectral_minimum
 from .topology import complete, erdos_renyi, from_edge_list, laplacian, ring, to_edge_list
 
 # Distinguishes the dataset stream from per-run streams under one master seed.
@@ -251,7 +251,7 @@ def _build_task(config: ExperimentConfig):
 
 
 def build_datasets(config: ExperimentConfig, n: int):
-    """Node datasets plus the shared test set, from the dedicated data stream."""
+    """The stacked node data plus the shared test set, from the dedicated data stream."""
     data_seed = np.random.SeedSequence([config.seed, DATA_STREAM_TAG])
     if config.task == "regression":
         return generate_regression_data(
@@ -304,27 +304,16 @@ def _worker_count(parallel: int, jobs: int) -> int:
     return min(parallel, jobs, os.cpu_count() or 1)
 
 
-def _rate_point(args) -> float:
-    g, epsilon, p = args
-    return consensus_rate(g, epsilon, p)
-
-
 def cmd_analyze(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -> dict:
     """Evaluate throughput and consensus rate over the p grid; locate both optima.
 
     Writes analyze.csv (columns p,expected_throughput,consensus_rate) and
-    returns the two optimizers and their gap.
+    returns the two optimizers and their gap. The scan runs in this
+    process; parallel is accepted and ignored, as by cmd_train.
     """
     g = build_graph(config)
     epsilon = _resolve_epsilon(config, g)
-    ps = np.arange(0.0, 1.0 + config.grid_step / 2.0, config.grid_step)
-    jobs = [(g, epsilon, float(p)) for p in ps]
-    workers = _worker_count(parallel, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rates = np.array(list(pool.map(_rate_point, jobs, chunksize=64)))
-    else:
-        rates = np.array([_rate_point(job) for job in jobs])
+    ps, rates = consensus_rate_scan(g, epsilon, config.grid_step)
     throughputs = np.array([expected_throughput(g, float(p)) for p in ps])
 
     os.makedirs(out_dir, exist_ok=True)
@@ -371,12 +360,12 @@ def _build(config: ExperimentConfig):
     task = _build_task(config)
     g = build_graph(config)
     epsilon = _resolve_epsilon(config, g)
-    datasets, test = build_datasets(config, g.n)
-    return task, g, epsilon, datasets, test
+    data, test = build_datasets(config, g.n)
+    return task, g, epsilon, data, test
 
 
 def _run_once(config: ExperimentConfig, p: float, replicate: int):
-    task, g, epsilon, datasets, test = _build(config)
+    task, g, epsilon, data, test = _build(config)
     policy = AccessPolicy.uniform(g.n, p)
     train_config = TrainConfig(
         iterations=config.iterations,
@@ -386,7 +375,7 @@ def _run_once(config: ExperimentConfig, p: float, replicate: int):
         seed=run_seed(config.seed, p, replicate),
         checkpoint_every=config.checkpoint_every,
     )
-    return train(g, policy, task, datasets, test, train_config)
+    return train(g, policy, task, data, test, train_config)
 
 
 def _sweep_worker(args):

@@ -76,20 +76,23 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class LocalDataset:
-    """One node's samples; node -1 marks the shared test set."""
+    """Samples stacked along leading axes: features (..., m, f), labels (..., m).
 
-    node: int
-    features: np.ndarray  # (m, f)
-    labels: np.ndarray  # (m,)
+    The nodes' local data is one (n, m, f) / (n, m) dataset, so every node
+    holds the same number m of samples; the shared test set is (T, f) / (T,).
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
         labs = np.asarray(self.labels)
-        if feats.ndim != 2 or labs.ndim != 1 or feats.shape[0] != labs.shape[0]:
+        if feats.shape[:-1] != labs.shape or labs.ndim < 1:
             raise DimensionError(
                 f"features {feats.shape} and labels {labs.shape} are inconsistent"
             )
-        if feats.shape[0] < 1:
+        if labs.size < 1:
             raise DimensionError("a dataset needs at least one sample")
         if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(labs))):
             raise ValueError("dataset entries must be finite")
@@ -100,7 +103,8 @@ class LocalDataset:
 
     @property
     def size(self) -> int:
-        return self.labels.shape[0]
+        """Samples per node, or in the test set."""
+        return self.labels.shape[-1]
 
 
 def regression_task() -> TaskSpec:
@@ -221,28 +225,25 @@ def generate_regression_data(
     bias_low: float = -1.0,
     bias_high: float = 5.0,
     test_per_node: int = 100,
-) -> tuple[list[LocalDataset], LocalDataset]:
+) -> tuple[LocalDataset, LocalDataset]:
     """Non-IID regression data: node i observes y = b_i + noise.
 
     Per-node bias values are drawn uniformly from (bias_low, bias_high) and
-    the noise is N(0, sigma^2). The test set holds test_per_node samples for
-    every bias value, so each bias is equally represented. Deterministic for
-    a fixed seed.
+    the noise is N(0, sigma^2). Returns the (n_nodes, samples_per_node)
+    node data and the test set, which holds test_per_node samples for every
+    bias value in node order, so each bias is equally represented. The
+    features have no columns. Deterministic for a fixed seed.
     """
     if n_nodes < 1 or samples_per_node < 1:
         raise ConfigError("n_nodes and samples_per_node must be positive")
     rng = np.random.default_rng(seed)
-    biases = rng.uniform(bias_low, bias_high, n_nodes)
-    empty = np.zeros((samples_per_node, 0))
-    locals_ = [
-        LocalDataset(i, empty, biases[i] + sigma * rng.standard_normal(samples_per_node))
-        for i in range(n_nodes)
-    ]
-    test_labels = np.concatenate(
-        [biases[i] + sigma * rng.standard_normal(test_per_node) for i in range(n_nodes)]
+    biases = rng.uniform(bias_low, bias_high, (n_nodes, 1))
+    labels = biases + sigma * rng.standard_normal((n_nodes, samples_per_node))
+    test_labels = (biases + sigma * rng.standard_normal((n_nodes, test_per_node))).ravel()
+    return (
+        LocalDataset(np.zeros(labels.shape + (0,)), labels),
+        LocalDataset(np.zeros(test_labels.shape + (0,)), test_labels),
     )
-    test = LocalDataset(-1, np.zeros((test_labels.shape[0], 0)), test_labels)
-    return locals_, test
 
 
 def generate_classification_data(
@@ -255,14 +256,15 @@ def generate_classification_data(
     center_low: float = -1.0,
     center_high: float = 1.0,
     test_per_node: int = 100,
-) -> tuple[list[LocalDataset], LocalDataset]:
+) -> tuple[LocalDataset, LocalDataset]:
     """Non-IID clustered classification data; node i sees only class i mod n_classes.
 
     One center per class is drawn uniformly from (center_low, center_high)^2
     once per seed; samples are the center plus N(0, noise_cov * I) noise.
     n_nodes must be divisible by n_classes so classes are represented by
-    equally many nodes. The test set is balanced with test_per_node *
-    n_nodes / n_classes samples per class.
+    equally many nodes. Returns the (n_nodes, samples_per_node) node data
+    and the test set, balanced with test_per_node * n_nodes / n_classes
+    samples per class in class order.
     """
     if n_nodes < 1 or samples_per_node < 1:
         raise ConfigError("n_nodes and samples_per_node must be positive")
@@ -276,19 +278,12 @@ def generate_classification_data(
     rng = np.random.default_rng(seed)
     centers = rng.uniform(center_low, center_high, (n_classes, feature_dim))
     scale = np.sqrt(noise_cov)
-    locals_ = []
-    for i in range(n_nodes):
-        cls = i % n_classes
-        feats = centers[cls] + scale * rng.standard_normal((samples_per_node, feature_dim))
-        locals_.append(LocalDataset(i, feats, np.full(samples_per_node, cls, dtype=np.int64)))
-    per_class = test_per_node * n_nodes // n_classes
-    test_feats = []
-    test_labels = []
-    for cls in range(n_classes):
-        test_feats.append(centers[cls] + scale * rng.standard_normal((per_class, feature_dim)))
-        test_labels.append(np.full(per_class, cls, dtype=np.int64))
-    test = LocalDataset(-1, np.concatenate(test_feats), np.concatenate(test_labels))
-    return locals_, test
+    size = (n_nodes, samples_per_node)
+    labels = np.repeat(np.arange(n_nodes, dtype=np.int64) % n_classes, samples_per_node).reshape(size)
+    features = centers[labels] + scale * rng.standard_normal(size + (feature_dim,))
+    test_labels = np.repeat(np.arange(n_classes, dtype=np.int64), test_per_node * n_nodes // n_classes)
+    test_features = centers[test_labels] + scale * rng.standard_normal(test_labels.shape + (feature_dim,))
+    return LocalDataset(features, labels), LocalDataset(test_features, test_labels)
 
 
 def local_gradient(task: TaskSpec, params: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -400,7 +395,7 @@ def train(
     g: Graph,
     policy: AccessPolicy,
     task: TaskSpec,
-    datasets: list[LocalDataset],
+    data: LocalDataset,
     test: LocalDataset,
     config: TrainConfig,
 ) -> MetricTrace:
@@ -409,10 +404,10 @@ def train(
     Per iteration: sample broadcast decisions, find the receivers that
     decode a packet and their senders, and apply one adapt-then-combine
     step in which only those receivers' rows mix (see mixing.mix_slot).
-    All nodes start from the zero vector. The local datasets must all have
-    the same size; they are stacked once into (n, m, f) / (n, m) arrays so
-    that one gradient call per slot serves every node, and the task's
-    evaluator is bound to the test set once for all checkpoints.
+    All nodes start from the zero vector. data stacks the nodes' local
+    samples, (n, m, f) / (n, m), so one gradient call per slot serves every
+    node; test is the shared (T, f) / (T,) test set, to which the task's
+    evaluator is bound once for all checkpoints.
     Bit-reproducible for a fixed config and seed. Raises DivergenceError
     as soon as any parameter magnitude exceeds 1e9.
     """
@@ -420,12 +415,10 @@ def train(
         raise ConfigError(f"iterations must be >= 1, got {config.iterations}")
     if policy.n != g.n:
         raise DimensionError(f"policy size {policy.n} does not match n={g.n}")
-    if len(datasets) != g.n:
-        raise DimensionError(f"expected {g.n} local datasets, got {len(datasets)}")
-    if len({dataset.size for dataset in datasets}) != 1:
-        raise DimensionError("local datasets must all have the same size")
-    features = np.stack([dataset.features for dataset in datasets])
-    labels = np.stack([dataset.labels for dataset in datasets])
+    if data.labels.ndim != 2 or data.labels.shape[0] != g.n:
+        raise DimensionError(f"data labels {data.labels.shape} do not stack n={g.n} nodes")
+    if test.labels.ndim != 1:
+        raise DimensionError(f"test labels {test.labels.shape} are not one (T,) set")
     epsilon = default_epsilon(g) if config.epsilon is None else check_epsilon(g, config.epsilon)
     evaluate = task.evaluator(test.features, test.labels)
     rng = np.random.default_rng(config.seed)
@@ -444,7 +437,7 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             state = dsgd_step(
                 state, lambda z: mix_slot(z, receivers, senders, epsilon),
-                features, labels, task, config.batch_size,
+                data.features, data.labels, task, config.batch_size,
             )
         if not np.all(np.isfinite(state.params)) or np.max(np.abs(state.params)) > DIVERGENCE_LIMIT:
             raise DivergenceError(

@@ -134,21 +134,34 @@ def consensus_rate(g: Graph, epsilon: float, p: float) -> float:
     symmetric H = S^{1/2} L S^{1/2} and its spectrum is 1 - eps * lambda(H).
     H is positive semidefinite with lambda_1 = 0, the eigenvalue 1 of E that
     belongs to the all-ones vector. Subtracting ones/n sends that eigenvalue
-    to 0 and leaves the rest alone (Brauer), so the rate is
+    to 0 and leaves the rest alone (Brauer), so the rate is the larger of
+    |1 - eps * lambda_2(H)| and |1 - eps * lambda_n(H)|. The lambda_n end
+    never binds, because p (1-p)^d <= 1/4, lambda_n(L) <= 2 d_max and
+    eps < 1/d_max give
 
-        max(|1 - eps * lambda_2(H)|, |1 - eps * lambda_n(H)|),
+        eps * lambda_n(H) <= eps * max_i S_i * lambda_n(L) < (1/d_max)(1/4)(2 d_max) = 1/2.
 
-    0 for a one-node graph. Values near 1 mean slow consensus; p = 0 and
-    p = 1 both give exactly 1 because S = 0 and E is the identity.
+    So the rate is 1 - eps * lambda_2(H), and 0 for a one-node graph.
+    Values near 1 mean slow consensus; p = 0 and p = 1 both give exactly 1
+    because S = 0 and E is the identity.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"access probability must lie in [0, 1], got {p}")
     check_epsilon(g, epsilon)
+    if g.n == 1:
+        return 0.0
     root_s = np.sqrt(p * (1.0 - p) ** g.degrees)
     eig = np.linalg.eigvalsh(root_s[:, None] * laplacian(g) * root_s[None, :])
-    # 1 - eps * lambda is monotone in lambda, so the largest modulus over
-    # lambda_2..lambda_n sits at one of the two ends.
-    return float(np.max(np.abs(1.0 - epsilon * eig[1:]), initial=0.0))
+    return float(1.0 - epsilon * eig[1])
+
+
+def consensus_rate_scan(g: Graph, epsilon: float, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid 0, grid_step, 2 grid_step, ... over [0, 1] and the consensus rate at each point.
+
+    The grid's last point is clamped to 1, where rounding would put it past.
+    """
+    ps = np.minimum(np.arange(0.0, 1.0 + grid_step / 2.0, grid_step), 1.0)
+    return ps, np.array([consensus_rate(g, epsilon, float(p)) for p in ps])
 
 
 def refine_spectral_minimum(g: Graph, epsilon: float, ps: np.ndarray, rates: np.ndarray) -> float:
@@ -168,6 +181,5 @@ def spectral_optimal_probability(g: Graph, epsilon: float, grid_step: float = 0.
     around the best grid point; the scan guards against eigenvalue-crossing
     kinks that could trap a purely local method.
     """
-    ps = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
-    rates = np.array([consensus_rate(g, epsilon, p) for p in ps])
+    ps, rates = consensus_rate_scan(g, epsilon, grid_step)
     return refine_spectral_minimum(g, epsilon, ps, rates)

@@ -273,10 +273,10 @@ def test_c09_gradients_match_finite_differences():
             denom = max(np.linalg.norm(grad), 1e-12)
             worst = max(worst, np.linalg.norm(grad - fd) / denom)
 
-    reg_data = generate_regression_data(4, 25, seed=5)[0][0]
-    check(regression_task(), reg_data.features, reg_data.labels)
-    cls_data = generate_classification_data(4, 25, seed=5)[0][0]
-    check(classification_task(), cls_data.features, cls_data.labels)
+    reg_data = generate_regression_data(4, 25, seed=5)[0]
+    check(regression_task(), reg_data.features[0], reg_data.labels[0])
+    cls_data = generate_classification_data(4, 25, seed=5)[0]
+    check(classification_task(), cls_data.features[0], cls_data.labels[0])
 
     ok = worst < 1e-5
     _report(

@@ -103,6 +103,8 @@ ONE_NODE = "topology = edge_list\nedge_list = {edges}\ntask = regression\np = 0.
 @example(command="topology", config=ONE_NODE, edges="n 1\n", flags=[])
 @example(command="topology", config="topology = edge_list\nedge_list = {edges}  # pinned\n",
          edges="n 3\n0 1\n1 2\n", flags=[])
+# A grid step at which arange's last point lands past p = 1.
+@example(command="analyze", config="topology = ring\nn = 6\ngrid_step = 0.0006\n", edges="", flags=[])
 def test_cli_contract_holds_on_generated_files(command, config, edges, flags):
     with tempfile.TemporaryDirectory() as tmp:
         folder = os.path.join(tmp, "a#b")  # a "#" inside the edge_list path

@@ -77,13 +77,20 @@ def test_decoding_links_follow_the_collision_rule():
         assert np.all(b[senders] == 1)
 
 
-def test_train_rejects_unequal_dataset_sizes():
+def test_train_rejects_data_not_stacked_over_the_graph():
     g = ring(4)
-    datasets, test = generate_classification_data(4, 10, seed=0)
-    short = LocalDataset(3, datasets[3].features[:5], datasets[3].labels[:5])
-    with pytest.raises(DimensionError):
-        train(g, AccessPolicy.uniform(4, 0.3), classification_task(), datasets[:3] + [short], test,
-              TrainConfig(iterations=2))
+    task, config = classification_task(), TrainConfig(iterations=2)
+    data, test = generate_classification_data(8, 10, seed=0)
+    with pytest.raises(DimensionError, match="n=4"):
+        train(g, AccessPolicy.uniform(4, 0.3), task, data, test, config)
+    # One node's (m, f) / (m,) samples, even with m = n, are not node data.
+    one_node = LocalDataset(data.features[0, :4], data.labels[0, :4])
+    with pytest.raises(DimensionError, match="n=4"):
+        train(g, AccessPolicy.uniform(4, 0.3), task, one_node, test, config)
+    four, _ = generate_classification_data(4, 10, seed=0)
+    stacked_test = LocalDataset(test.features.reshape(4, -1, 2), test.labels.reshape(4, -1))
+    with pytest.raises(DimensionError, match="test labels"):
+        train(g, AccessPolicy.uniform(4, 0.3), task, four, stacked_test, config)
 
 
 def _per_node_metrics(task, params, features, labels):
@@ -126,11 +133,11 @@ def test_evaluator_zero_params_ties_every_class(bias):
     # eta = 0 keeps every model at zero: all four classes tie, argmax picks
     # class 0, and the balanced test set is right on exactly a quarter.
     task = classification_task(bias=bias)
-    datasets, test = generate_classification_data(8, 5, seed=1)
+    data, test = generate_classification_data(8, 5, seed=1)
     loss, acc = task.evaluator(test.features, test.labels)(np.zeros((8, task.dim)))
     np.testing.assert_allclose(loss, np.log(4.0), rtol=1e-15)
     assert acc == 0.25
-    trace = train(ring(8), AccessPolicy.uniform(8, 0.3), task, datasets, test,
+    trace = train(ring(8), AccessPolicy.uniform(8, 0.3), task, data, test,
                   TrainConfig(iterations=3, step_size=0.0))
     np.testing.assert_allclose(trace.avg_test_loss, np.log(4.0), rtol=1e-15)
     assert np.all(trace.accuracy == 0.25)

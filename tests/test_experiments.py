@@ -288,10 +288,7 @@ def test_parallel_workers_capped_by_jobs_and_cpus(tmp_path, monkeypatch, cpus, w
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     cmd_sweep(_sweep_config(), out_dir=str(tmp_path / "sweep"), parallel=10_000)
-    # 21 grid points at grid_step 0.05.
-    cmd_analyze(ExperimentConfig(topology="ring", n=8, grid_step=0.05), out_dir=str(tmp_path / "analyze"),
-                parallel=10_000)
-    assert _SerialPool.sizes == ([] if want is None else [want, min(cpus, 21)])
+    assert _SerialPool.sizes == ([] if want is None else [want])
     serial = tmp_path / "serial"
     cmd_sweep(_sweep_config(), out_dir=str(serial))
     assert (serial / "sweep.csv").read_bytes() == (tmp_path / "sweep" / "sweep.csv").read_bytes()
@@ -466,6 +463,17 @@ def test_cli_analyze_ring_1000_matches_circulant_closed_form(tmp_path):
     s = p * (1 - p) ** 2
     closed = np.maximum(np.abs(1 - eps * s * (2 - 2 * np.cos(2 * np.pi / n))), np.abs(1 - 4 * eps * s))
     np.testing.assert_allclose(rate, closed, rtol=0, atol=1e-12)
+
+
+def test_cli_analyze_grid_ends_at_one(tmp_path):
+    # arange(0, 1 + step/2, step) ends at 1.0002 for this step; the grid is
+    # clamped to 1 where it is built.
+    assert np.arange(0.0, 1.0 + 0.0003, 0.0006)[-1] > 1.0
+    config = _write_config(tmp_path / "t.cfg", "topology = ring\nn = 6\ngrid_step = 0.0006\n")
+    assert main(["analyze", "--config", config, "--out", str(tmp_path)]) == 0
+    p = np.loadtxt(tmp_path / "analyze.csv", delimiter=",", skiprows=1)[:, 0]
+    assert len(p) == 1668
+    assert p[-1] == 1.0 and np.all(np.diff(p) > 0)
 
 
 def test_cli_help_exits_zero():

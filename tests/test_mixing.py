@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radsgd.errors import DimensionError, DomainError
 from radsgd.mac import AccessPolicy, optimal_access_probability, sample_broadcast, transmission_matrix
@@ -9,13 +11,14 @@ from radsgd.mixing import (
     base_weight_matrix,
     compensate,
     consensus_rate,
+    consensus_rate_scan,
     default_epsilon,
     expected_weight_matrix,
     mask_by_transmission,
     spectral_optimal_probability,
     spectral_radius,
 )
-from radsgd.topology import complete, erdos_renyi, from_edge_list, ring
+from radsgd.topology import Graph, complete, erdos_renyi, from_edge_list, laplacian, ring
 
 COLLISION_DOC = "n 5\n0 1\n0 4\n3 2\n3 4\n"
 PATH3 = from_edge_list("n 3\n0 1\n1 2\n")
@@ -229,6 +232,42 @@ def test_consensus_rate_matches_dense_oracle(name):
 
 def test_consensus_rate_one_node_is_zero():
     assert consensus_rate(from_edge_list("n 1\n"), 0.5, 0.3) == 0.0
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on up to 14 nodes plus random extra edges."""
+    n = draw(st.integers(2, 14))
+    a = np.zeros((n, n), dtype=np.int64)
+    for k in range(1, n):
+        j = draw(st.integers(0, k - 1))
+        a[k, j] = a[j, k] = 1
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)):
+        if i != j:
+            a[i, j] = a[j, i] = 1
+    return Graph(n, a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=connected_graphs(), gap=st.floats(1e-12, 0.5), p=st.floats(0.0, 1.0))
+def test_lambda_n_end_never_binds(g, gap, p):
+    # eps * lambda_n(H) <= eps * max_i S_i * lambda_n(L) < (1/d_max)(1/4)(2 d_max) = 1/2,
+    # so 1 - eps * lambda_2(H) is the whole rate, even as eps nears 1/d_max.
+    eps = (1.0 - gap) / float(g.degrees.max())
+    root_s = np.sqrt(p * (1.0 - p) ** g.degrees)
+    eig = np.linalg.eigvalsh(root_s[:, None] * laplacian(g) * root_s[None, :])
+    assert eps * eig[-1] < 0.5
+    assert consensus_rate(g, eps, p) == max(abs(1.0 - eps * eig[1]), abs(1.0 - eps * eig[-1]))
+
+
+def test_consensus_rate_scan_grid_ends_at_one():
+    g = ring(6)
+    ps, rates = consensus_rate_scan(g, 1 / 3, 0.0006)
+    assert len(ps) == 1668 and ps[-1] == 1.0 and np.all(np.diff(ps) > 0)
+    assert np.array_equal(ps[:-1], np.arange(0.0, 1.0 + 0.0003, 0.0006)[:-1])
+    assert rates[-1] == 1.0
+    assert rates[1] == consensus_rate(g, 1 / 3, 0.0006)
+    assert spectral_optimal_probability(g, 1 / 3, 0.0006) == pytest.approx(1 / 3, abs=1e-3)
 
 
 def test_spectral_radius_ring6_consensus():
