@@ -44,18 +44,22 @@ EVAL_BLOCK_BYTES = 1 << 17
 class TaskSpec:
     """A differentiable learning task.
 
-    loss and gradient take (params, features, labels) over a batch and
-    return the mean loss / mean loss gradient; gradient is the exact
-    derivative of loss (checked against finite differences in the tests).
-    predict maps (params, features) to labels for accuracy reporting and is
-    None for tasks without a notion of accuracy.
+    loss takes (params, features, labels) over a batch and returns the mean
+    loss. predict maps (params, features) to labels for accuracy reporting
+    and is None for tasks without a notion of accuracy. Both work on
+    stacked nodes: params has shape (..., dim), features (..., m, f) and
+    labels (..., m), with the same leading node axes on all three. loss
+    returns shape params.shape[:-1] and predict labels.shape, so one call
+    serves a single node (params (dim,)) or all n nodes at once (params
+    (n, dim) against stacked (n, m, f) features). They are the per-node
+    oracle of gradient and evaluator.
 
-    Every callable works on stacked nodes: params has shape (..., dim),
-    features (..., m, f) and labels (..., m), with the same leading node
-    axes on all three. loss returns shape params.shape[:-1], gradient
-    params.shape and predict labels.shape, so one call serves a single
-    node (params (dim,)) or all n nodes at once (params (n, dim) against
-    stacked (n, m, f) features).
+    gradient binds a nonempty batch: gradient(features, labels) computes
+    what depends on the data alone once and returns a function that maps
+    params of the same leading node axes to the mean loss gradient, of
+    shape params.shape. It is the exact derivative of loss (checked
+    against finite differences in the tests). It raises DomainError for a
+    batch without samples.
 
     evaluator is the checkpoint metric. evaluator(features, labels) takes
     the shared test set, (T, f) and (T,), once per run and returns a
@@ -69,7 +73,7 @@ class TaskSpec:
     kind: str
     dim: int
     loss: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
     evaluator: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], tuple[float, float]]]
     predict: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
@@ -107,14 +111,26 @@ class LocalDataset:
         return self.labels.shape[-1]
 
 
+def _nonempty(labels: np.ndarray) -> np.ndarray:
+    if labels.shape[-1] == 0:
+        raise DomainError("gradient requires a nonempty batch")
+    return labels
+
+
 def regression_task() -> TaskSpec:
     """Scalar bias estimation: the model is one constant, loss (theta - y)^2."""
 
     def loss(params, features, labels):
         return np.mean((params[..., :1] - labels) ** 2, axis=-1)
 
-    def gradient(params, features, labels):
-        return 2.0 * np.mean(params[..., :1] - labels, axis=-1, keepdims=True)
+    def gradient(features, labels):
+        # d/dtheta mean (theta - y)^2 = 2 (theta - mean(y)).
+        target = np.mean(_nonempty(labels), axis=-1, keepdims=True)
+
+        def bound(params):
+            return 2.0 * (params - target)
+
+        return bound
 
     def evaluator(features, labels):
         # mean_t (theta - y_t)^2 = (theta - mean(y))^2 + var(y). The mean is
@@ -162,16 +178,30 @@ def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = T
         picked = np.take_along_axis(logp, labels[..., np.newaxis, :], axis=-2)
         return -np.mean(picked[..., 0, :], axis=-1)
 
-    def gradient(params, features, labels):
-        z = logits(params, features)
-        probs = np.exp(z - z.max(axis=-2, keepdims=True))
-        probs /= probs.sum(axis=-2, keepdims=True)
-        probs -= labels[..., np.newaxis, :] == classes
-        grad = probs @ features  # (..., n_classes, feature_dim)
+    def gradient(features, labels):
+        # The gradient in the (rows, n_classes) layout of params is
+        # x^T (softmax(z) - onehot) / m for inputs x (..., m, rows) with a
+        # ones column for the bias; the onehot half depends on the data
+        # alone and is computed here.
+        size = _nonempty(labels).shape[-1]
         if bias:
-            grad = np.concatenate([grad, probs.sum(axis=-1, keepdims=True)], axis=-1)
-        grad = np.swapaxes(grad, -1, -2) / labels.shape[-1]
-        return grad.reshape(grad.shape[:-2] + (-1,))
+            features = np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
+        inputs = np.ascontiguousarray(np.swapaxes(features, -1, -2))  # (..., rows, m)
+        onehot = (labels[..., np.newaxis, :] == classes).astype(float)  # (..., n_classes, m)
+        label_term = inputs @ np.swapaxes(onehot, -1, -2) / size  # (..., rows, n_classes)
+
+        def bound(params):
+            w = params.reshape(params.shape[:-1] + (rows, n_classes))
+            z = np.swapaxes(w, -1, -2) @ inputs  # (..., n_classes, m)
+            z -= z.max(axis=-2, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=-2, keepdims=True)
+            grad = inputs @ np.swapaxes(z, -1, -2)
+            grad /= size
+            grad -= label_term
+            return grad.reshape(grad.shape[:-2] + (-1,))
+
+        return bound
 
     def predict(params, features):
         return np.argmax(logits(params, features), axis=-2)
@@ -286,11 +316,15 @@ def generate_classification_data(
     return LocalDataset(features, labels), LocalDataset(test_features, test_labels)
 
 
-def local_gradient(task: TaskSpec, params: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean loss gradient over a nonempty batch, for one node or stacked nodes."""
-    if labels.shape[-1] == 0:
-        raise DomainError("gradient requires a nonempty batch")
-    return task.gradient(params, features, labels)
+def local_gradient(gradient: Callable[[np.ndarray], np.ndarray], params: np.ndarray) -> np.ndarray:
+    """Apply a gradient bound to its batch (TaskSpec.gradient) to params, one node or stacked nodes.
+
+    Raises DimensionError unless the gradient has the shape of params.
+    """
+    grad = gradient(params)
+    if grad.shape != params.shape:
+        raise DimensionError(f"gradient has shape {grad.shape}, expected {params.shape}")
+    return grad
 
 
 @dataclass
@@ -300,14 +334,11 @@ class TrainState:
     params: np.ndarray  # (n, task.dim)
     iteration: int
     step_size: float
-    rng: np.random.Generator
 
 
-def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int | None, rng: np.random.Generator):
-    """Per-node minibatches without replacement, drawn in node order."""
+def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """Per-node minibatches of batch_size < m samples without replacement, drawn in node order."""
     n, m = labels.shape
-    if batch_size is None or batch_size >= m:
-        return features, labels
     if batch_size < 1:
         raise DomainError(f"batch_size must be positive, got {batch_size}")
     idx = np.stack([rng.choice(m, size=batch_size, replace=False) for _ in range(n)])
@@ -318,27 +349,20 @@ def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int | None
 def dsgd_step(
     state: TrainState,
     mix: Callable[[np.ndarray], np.ndarray],
-    features: np.ndarray,
-    labels: np.ndarray,
-    task: TaskSpec,
-    batch_size: int | None = None,
+    gradient: Callable[[np.ndarray], np.ndarray],
 ) -> TrainState:
     """One adapt-then-combine iteration for all n nodes at once.
 
-    features (n, m, f) and labels (n, m) stack the nodes' equal-sized local
-    datasets. Every node j computes its half-step z_j = x_j - eta * g_j(x_j)
+    gradient is the task's gradient bound to the nodes' stacked batches,
+    task.gradient(features, labels) for features (n, m, f) and labels
+    (n, m). Every node j computes its half-step z_j = x_j - eta * g_j(x_j)
     on its own batch, all in one local_gradient call; mix maps the stacked
     (n, dim) half-steps to the new models, for example lambda z: w @ z for
     a mixing matrix w. With identity mixing and eta = 0 the state is
     unchanged; with eta = 0 the step is exactly mix(params).
     """
     n, dim = state.params.shape
-    if features.shape[0] != n or labels.shape[0] != n:
-        raise DimensionError(
-            f"features {features.shape} and labels {labels.shape} do not stack {n} nodes"
-        )
-    feats, labs = _draw_batch(features, labels, batch_size, state.rng)
-    half = state.params - state.step_size * local_gradient(task, state.params, feats, labs)
+    half = state.params - state.step_size * local_gradient(gradient, state.params)
     mixed = mix(half)
     if mixed.shape != (n, dim):
         raise DimensionError(f"mixing returned shape {mixed.shape}, expected {(n, dim)}")
@@ -346,7 +370,6 @@ def dsgd_step(
         params=mixed,
         iteration=state.iteration + 1,
         step_size=state.step_size,
-        rng=state.rng,
     )
 
 
@@ -407,12 +430,18 @@ def train(
     All nodes start from the zero vector. data stacks the nodes' local
     samples, (n, m, f) / (n, m), so one gradient call per slot serves every
     node; test is the shared (T, f) / (T,) test set, to which the task's
-    evaluator is bound once for all checkpoints.
+    evaluator is bound once for all checkpoints. The task's gradient is
+    bound to data once per run, or, with minibatches, to each slot's
+    batch as that slot draws it.
     Bit-reproducible for a fixed config and seed. Raises DivergenceError
-    as soon as any parameter magnitude exceeds 1e9.
+    as soon as any parameter magnitude exceeds 1e9 or is NaN.
     """
     if config.iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {config.iterations}")
+    if config.checkpoint_every is not None and config.checkpoint_every < 1:
+        raise ConfigError(f"checkpoint_every must be >= 1, got {config.checkpoint_every}")
+    if not 0.0 <= config.step_size < np.inf:
+        raise ConfigError(f"step_size must be a nonnegative finite number, got {config.step_size}")
     if policy.n != g.n:
         raise DimensionError(f"policy size {policy.n} does not match n={g.n}")
     if data.labels.ndim != 2 or data.labels.shape[0] != g.n:
@@ -422,11 +451,15 @@ def train(
     epsilon = default_epsilon(g) if config.epsilon is None else check_epsilon(g, config.epsilon)
     evaluate = task.evaluator(test.features, test.labels)
     rng = np.random.default_rng(config.seed)
+    if config.batch_size is None or config.batch_size >= data.size:
+        gradient = task.gradient(data.features, data.labels)
+    else:
+        def gradient(params):
+            return task.gradient(*_draw_batch(data.features, data.labels, config.batch_size, rng))(params)
     state = TrainState(
         params=np.zeros((g.n, task.dim)),
         iteration=0,
         step_size=config.step_size,
-        rng=rng,
     )
     every = config.checkpoint_every
     if every is None:
@@ -435,11 +468,9 @@ def train(
     for t in range(1, config.iterations + 1):
         receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
         with np.errstate(over="ignore", invalid="ignore"):
-            state = dsgd_step(
-                state, lambda z: mix_slot(z, receivers, senders, epsilon),
-                data.features, data.labels, task, config.batch_size,
-            )
-        if not np.all(np.isfinite(state.params)) or np.max(np.abs(state.params)) > DIVERGENCE_LIMIT:
+            state = dsgd_step(state, lambda z: mix_slot(z, receivers, senders, epsilon), gradient)
+        # NaN fails the comparison, so one pass catches NaN and +-inf too.
+        if not (np.abs(state.params).max() <= DIVERGENCE_LIMIT):
             raise DivergenceError(
                 f"parameter magnitude exceeded {DIVERGENCE_LIMIT:.0e} at iteration {t} "
                 f"(step_size={config.step_size})"

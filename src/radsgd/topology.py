@@ -58,10 +58,19 @@ class Graph:
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        """Per-node degree vector (row sums of the adjacency)."""
-        return self.adjacency.sum(axis=1)
+        """Per-node degree vector (row sums of the adjacency), computed once and read-only."""
+        d = self.adjacency.sum(axis=1)
+        d.setflags(write=False)
+        return d
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """Graph Laplacian D - A as floats, computed once and read-only (see laplacian(g))."""
+        lap = np.diag(self.degrees).astype(float) - self.adjacency.astype(float)
+        lap.setflags(write=False)
+        return lap
 
     @property
     def edge_count(self) -> int:
@@ -183,5 +192,5 @@ def to_edge_list(g: Graph) -> str:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian D - A: symmetric, zero row sums, degrees on the diagonal."""
-    return np.diag(g.degrees).astype(float) - g.adjacency.astype(float)
+    """Graph Laplacian D - A: symmetric, zero row sums, degrees on the diagonal; read-only."""
+    return g.laplacian

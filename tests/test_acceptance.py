@@ -261,7 +261,7 @@ def test_c09_gradients_match_finite_differences():
         nonlocal worst
         for _ in range(10):
             params = rng.uniform(-1, 1, size=task.dim)
-            grad = task.gradient(params, features, labels)
+            grad = task.gradient(features, labels)(params)
             fd = np.empty_like(grad)
             for k in range(task.dim):
                 delta = np.zeros(task.dim)

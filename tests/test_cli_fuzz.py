@@ -8,13 +8,21 @@ each example stays cheap. Edge-list text holds no decimal digits outside
 the generated header and pairs, so no example can ask for a huge graph.
 The search is derandomized so that the suite gives the same verdict on
 every run.
+
+Exit 2 is the contract for a real run-time failure, so the contract test
+also passes a valid config that fails at run time. A second property
+draws only configs known to be valid (analyze on connected graphs with
+n <= 12 and grid_step >= 0.0005, and tiny train runs) and requires exit 0
+and complete outputs.
 """
 
 import contextlib
+import csv
 import io
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -121,3 +129,87 @@ def test_cli_contract_holds_on_generated_files(command, config, edges, flags):
             code = main(argv)
     assert code in (0, 1, 2), (code, config, stderr.getvalue())
     assert stderr.getvalue().count("error:") <= 1, stderr.getvalue()
+
+
+@st.composite
+def connected_edge_lists(draw):
+    """A random spanning tree over n <= 12 nodes plus random extra edges."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    return "\n".join([f"n {n}", *(f"{u} {v}" for u, v in sorted(edges))]) + "\n"
+
+
+# (config lines, edge-list text) pairs.
+analyze_graphs = st.one_of(
+    st.integers(3, 12).map(lambda n: (f"topology = ring\nn = {n}\n", "")),
+    st.integers(2, 12).map(lambda n: (f"topology = complete\nn = {n}\n", "")),
+    connected_edge_lists().map(lambda edges: ("topology = edge_list\nedge_list = {edges}\n", edges)),
+)
+
+
+def _run(command, config, edges=""):
+    with tempfile.TemporaryDirectory() as tmp:
+        edges_path = os.path.join(tmp, "edges.txt")
+        with open(edges_path, "w", encoding="utf-8") as handle:
+            handle.write(edges)
+        config_path = os.path.join(tmp, "run.cfg")
+        with open(config_path, "w", encoding="utf-8") as handle:
+            handle.write(config.format(edges=edges_path))
+        out = os.path.join(tmp, "out")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", config_path, "--out", out])
+        assert code == 0, (config, edges, stderr.getvalue())
+        with open(os.path.join(out, f"{command}.csv"), encoding="utf-8", newline="") as handle:
+            return list(csv.DictReader(handle))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graph=analyze_graphs, grid_step=st.floats(0.0005, 0.5))
+@example(graph=("topology = ring\nn = 6\n", ""), grid_step=0.0006)
+def test_valid_analyze_configs_exit_zero_with_the_whole_grid(graph, grid_step):
+    config, edges = graph
+    rows = _run("analyze", config + f"grid_step = {grid_step!r}\n", edges)
+    p = np.array([float(row["p"]) for row in rows])
+    # One row per grid point 0, step, 2 step, ... up to the last one within
+    # half a step of 1; a last point past 1 is clamped to exactly 1.
+    last = (len(p) - 1) * grid_step
+    assert abs(last - 1.0) <= grid_step / 2 * (1 + 1e-9)
+    np.testing.assert_allclose(p[:-1], grid_step * np.arange(len(p) - 1), rtol=1e-9, atol=1e-12)
+    assert p[0] == 0.0 and p[-1] <= 1.0
+    if last > 1.0 + 1e-9:
+        assert p[-1] == 1.0
+    else:
+        np.testing.assert_allclose(p[-1], last, rtol=1e-9)
+    for row in rows:
+        assert np.isfinite(float(row["expected_throughput"])) and 0.0 <= float(row["consensus_rate"]) <= 1.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    topology=st.sampled_from(["ring", "complete"]),
+    nodes=st.sampled_from([4, 8]),
+    task=st.sampled_from(["regression", "classification"]),
+    p=st.floats(0.0, 1.0),
+    iterations=st.integers(1, 5),
+    batch_size=st.sampled_from([None, 1, 2, 5]),
+    checkpoint_every=st.sampled_from([None, 1, 2]),
+)
+def test_valid_train_configs_exit_zero(topology, nodes, task, p, iterations, batch_size, checkpoint_every):
+    lines = [f"topology = {topology}", f"n = {nodes}", f"task = {task}", f"p = {p!r}",
+             f"iterations = {iterations}", "samples_per_node = 3"]
+    if batch_size is not None:
+        lines.append(f"batch_size = {batch_size}")
+    if checkpoint_every is not None:
+        lines.append(f"checkpoint_every = {checkpoint_every}")
+    rows = _run("train", "\n".join(lines) + "\n")
+    every = checkpoint_every or 1
+    want = [t for t in range(1, iterations + 1) if t % every == 0 or t == iterations]
+    assert [int(row["iteration"]) for row in rows] == want
+    for row in rows:
+        assert np.isfinite(float(row["avg_test_loss"])) and float(row["consensus_distance"]) >= 0.0
+        assert (row["accuracy"] == "") == (task == "regression")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from radsgd import learning
 from radsgd.errors import DimensionError
 from radsgd.learning import (
     EVAL_BLOCK_BYTES,
@@ -10,6 +11,7 @@ from radsgd.learning import (
     TrainConfig,
     classification_task,
     generate_classification_data,
+    generate_regression_data,
     regression_task,
     train,
 )
@@ -34,17 +36,133 @@ def test_stacked_calls_equal_per_node_calls(name):
     labels = rng.integers(0, 4, (n, m)) if f else rng.standard_normal((n, m))
 
     loss = task.loss(params, features, labels)
-    grad = task.gradient(params, features, labels)
+    grad = task.gradient(features, labels)(params)
     assert loss.shape == (n,)
     assert grad.shape == (n, task.dim)
     assert np.ndim(task.loss(params[0], features[0], labels[0])) == 0
     want_loss = np.array([task.loss(params[i], features[i], labels[i]) for i in range(n)])
-    want_grad = np.stack([task.gradient(params[i], features[i], labels[i]) for i in range(n)])
+    want_grad = np.stack([task.gradient(features[i], labels[i])(params[i]) for i in range(n)])
     np.testing.assert_allclose(loss, want_loss, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(grad, want_grad, rtol=1e-14, atol=1e-15)
     if task.predict is not None:
         want = np.stack([task.predict(params[i], features[i]) for i in range(n)])
         assert np.array_equal(task.predict(params, features), want)
+
+
+def _per_call_gradient(task, params, features, labels):
+    """The gradient as it was computed per call before it was bound to its batch."""
+    if task.kind == "regression":
+        return 2.0 * np.mean(params[..., :1] - labels, axis=-1, keepdims=True)
+    f = features.shape[-1]
+    rows = task.dim // 4
+    w = params.reshape(params.shape[:-1] + (rows, 4))
+    z = np.swapaxes(w[..., :f, :], -1, -2) @ np.swapaxes(features, -1, -2)
+    if rows > f:
+        z = z + w[..., f, :, np.newaxis]
+    probs = np.exp(z - z.max(axis=-2, keepdims=True))
+    probs /= probs.sum(axis=-2, keepdims=True)
+    probs -= labels[..., np.newaxis, :] == np.arange(4)[:, np.newaxis]
+    grad = probs @ features
+    if rows > f:
+        grad = np.concatenate([grad, probs.sum(axis=-1, keepdims=True)], axis=-1)
+    grad = np.swapaxes(grad, -1, -2) / labels.shape[-1]
+    return grad.reshape(grad.shape[:-2] + (-1,))
+
+
+def _samples(f, rng, shape):
+    features = rng.standard_normal(shape + (f,))
+    labels = rng.integers(0, 4, shape) if f else rng.standard_normal(shape)
+    return features, labels
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+@pytest.mark.parametrize("stacked", [True, False])
+def test_bound_gradient_matches_finite_differences(name, stacked):
+    task, f = TASKS[name]
+    rng = np.random.default_rng(17)
+    lead = (5,) if stacked else ()
+    step = 1e-6
+    for _ in range(5):
+        features, labels = _samples(f, rng, lead + (11,))
+        params = rng.standard_normal(lead + (task.dim,))
+        grad = task.gradient(features, labels)(params)
+        assert grad.shape == params.shape
+        fd = np.empty_like(grad)
+        for k in range(task.dim):
+            delta = np.zeros(task.dim)
+            delta[k] = step
+            fd[..., k] = (task.loss(params + delta, features, labels)
+                          - task.loss(params - delta, features, labels)) / (2 * step)
+        assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+@pytest.mark.parametrize("name", sorted(TASKS))
+@pytest.mark.parametrize("scale", [0.0, 1.0, 300.0])
+def test_bound_gradient_matches_per_call_formula(name, scale):
+    task, f = TASKS[name]
+    rng = np.random.default_rng(21)
+    n, m = 9, 40
+    features, labels = _samples(f, rng, (n, m))
+    params = scale * rng.standard_normal((n, task.dim))
+    if f and scale:
+        logits = np.abs(params.reshape(n, -1, 4)[:, :f].swapaxes(-1, -2) @ features.swapaxes(-1, -2))
+        assert logits.max() > 3.0 * scale  # about 1e3 at scale 300
+    bound = task.gradient(features, labels)
+    want = _per_call_gradient(task, params, features, labels)
+    np.testing.assert_allclose(bound(params), want, rtol=1e-12, atol=0)
+    # One node's params against its own samples, through the same binding rule.
+    np.testing.assert_allclose(
+        task.gradient(features[2], labels[2])(params[2]), want[2], rtol=1e-12, atol=0,
+    )
+    # The binding holds no state between calls.
+    np.testing.assert_array_equal(bound(params), bound(params))
+
+
+@pytest.mark.parametrize("name", ["classification", "regression"])
+def test_minibatch_run_draws_the_per_call_batches(name):
+    task, _ = TASKS[name]
+    g = erdos_renyi(8, 0.5, seed=1)
+    if name == "regression":
+        data, test = generate_regression_data(8, 12, seed=3)
+    else:
+        data, test = generate_classification_data(8, 12, seed=3)
+    policy = AccessPolicy.uniform(g.n, 0.2)
+    config = TrainConfig(iterations=30, step_size=0.05, batch_size=5, seed=9, checkpoint_every=1)
+    trace = train(g, policy, task, data, test, config)
+    # The loop train ran before the gradient was bound: the channel first,
+    # then one batch per node in node order from the same stream.
+    rng = np.random.default_rng(config.seed)
+    epsilon = default_epsilon(g)
+    evaluate = task.evaluator(test.features, test.labels)
+    params = np.zeros((g.n, task.dim))
+    rows = np.arange(g.n)[:, np.newaxis]
+    for t in range(config.iterations):
+        receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
+        idx = np.stack([rng.choice(12, size=5, replace=False) for _ in range(g.n)])
+        grad = _per_call_gradient(task, params, data.features[rows, idx], data.labels[rows, idx])
+        params = mix_slot(params - config.step_size * grad, receivers, senders, epsilon)
+        loss, acc = evaluate(params)
+        np.testing.assert_allclose(trace.avg_test_loss[t], loss, rtol=1e-12)
+        if name == "classification":
+            assert round(trace.accuracy[t] * g.n * test.size) == round(acc * g.n * test.size)
+        center = params.mean(axis=0)
+        np.testing.assert_allclose(trace.consensus_distance[t], ((params - center) ** 2).sum(), rtol=1e-10)
+
+
+@pytest.mark.parametrize("batch_size", [None, 4])
+def test_one_local_gradient_call_per_slot(monkeypatch, batch_size):
+    calls = []
+    apply = learning.local_gradient
+
+    def counting(gradient, params):
+        calls.append(params.shape)
+        return apply(gradient, params)
+
+    monkeypatch.setattr("radsgd.learning.local_gradient", counting)
+    data, test = generate_classification_data(8, 10, seed=0)
+    train(ring(8), AccessPolicy.uniform(8, 0.3), classification_task(), data, test,
+          TrainConfig(iterations=7, batch_size=batch_size))
+    assert calls == [(8, 12)] * 7
 
 
 @pytest.mark.parametrize("graph", ["ring", "erdos_renyi"])

@@ -8,6 +8,7 @@ from radsgd.learning import (
     LocalDataset,
     TrainConfig,
     TrainState,
+    _draw_batch,
     classification_task,
     dsgd_step,
     generate_classification_data,
@@ -128,20 +129,36 @@ def test_regression_gradient_stationary_at_batch_mean():
     task = regression_task()
     labels = np.array([1.0, 2.0, 6.0])
     features = np.zeros((3, 0))
-    grad = local_gradient(task, np.array([labels.mean()]), features, labels)
+    grad = local_gradient(task.gradient(features, labels), np.array([labels.mean()]))
     assert grad[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_regression_gradient_direct_value():
     task = regression_task()
-    grad = local_gradient(task, np.array([1.0]), np.zeros((1, 0)), np.array([0.0]))
+    grad = local_gradient(task.gradient(np.zeros((1, 0)), np.array([0.0])), np.array([1.0]))
     assert grad[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_local_gradient_rejects_empty_batch():
-    task = regression_task()
-    with pytest.raises(DomainError):
-        local_gradient(task, np.array([1.0]), np.zeros((0, 0)), np.zeros(0))
+    # The batch is checked when the gradient is bound to it.
+    for task, f in ((regression_task(), 0), (classification_task(), 2)):
+        with pytest.raises(DomainError):
+            task.gradient(np.zeros((0, f)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(DomainError):
+            task.gradient(np.zeros((3, 0, f)), np.zeros((3, 0), dtype=np.int64))
+
+
+def test_local_gradient_rejects_a_gradient_of_another_shape():
+    params = np.zeros((4, 1))
+    with pytest.raises(DimensionError, match=r"\(4, 1\)"):
+        local_gradient(lambda x: x[:3], params)
+    with pytest.raises(DimensionError):
+        local_gradient(lambda x: x.ravel(), params)
+    # Bound to two nodes' data, the regression gradient broadcasts one
+    # node's params to a (2, 1) result.
+    bound = regression_task().gradient(np.zeros((2, 5, 0)), np.ones((2, 5)))
+    with pytest.raises(DimensionError):
+        local_gradient(bound, np.zeros((1, 1)))
 
 
 def test_gradients_match_finite_differences():
@@ -150,7 +167,7 @@ def test_gradients_match_finite_differences():
     for _ in range(10):
         params = rng.standard_normal(1)
         labels = rng.standard_normal(12)
-        grad = reg.gradient(params, np.zeros((12, 0)), labels)
+        grad = reg.gradient(np.zeros((12, 0)), labels)(params)
         fd = _finite_difference(reg, params, np.zeros((12, 0)), labels)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(1e-8, np.linalg.norm(fd))
     for task in (classification_task(), classification_task(bias=False)):
@@ -158,7 +175,7 @@ def test_gradients_match_finite_differences():
             params = rng.standard_normal(task.dim)
             features = rng.standard_normal((15, 2))
             labels = rng.integers(0, 4, 15)
-            grad = task.gradient(params, features, labels)
+            grad = task.gradient(features, labels)(params)
             fd = _finite_difference(task, params, features, labels)
             assert np.linalg.norm(grad - fd) <= 1e-5 * max(1e-8, np.linalg.norm(fd))
 
@@ -175,8 +192,8 @@ def _matrix(w):
 
 def test_dsgd_step_identity_mixing_zero_step_is_noop():
     task, data, _ = _regression_setup(4)
-    state = TrainState(np.array([[1.0], [2.0], [3.0], [4.0]]), 0, 0.0, np.random.default_rng(0))
-    out = dsgd_step(state, _matrix(np.eye(4)), data.features, data.labels, task)
+    state = TrainState(np.array([[1.0], [2.0], [3.0], [4.0]]), 0, 0.0)
+    out = dsgd_step(state, _matrix(np.eye(4)), task.gradient(data.features, data.labels))
     assert np.array_equal(out.params, state.params)
     assert out.iteration == 1
 
@@ -184,8 +201,8 @@ def test_dsgd_step_identity_mixing_zero_step_is_noop():
 def test_dsgd_step_full_averaging_zero_step():
     task, data, _ = _regression_setup(4)
     params = np.array([[1.0], [2.0], [3.0], [4.0]])
-    state = TrainState(params.copy(), 0, 0.0, np.random.default_rng(0))
-    out = dsgd_step(state, _matrix(np.full((4, 4), 0.25)), data.features, data.labels, task)
+    state = TrainState(params.copy(), 0, 0.0)
+    out = dsgd_step(state, _matrix(np.full((4, 4), 0.25)), task.gradient(data.features, data.labels))
     assert np.allclose(out.params, 2.5)
 
 
@@ -195,16 +212,16 @@ def test_dsgd_step_zero_step_is_linear_map():
     w = rng.uniform(0, 1, (5, 5))
     w /= w.sum(axis=1, keepdims=True)
     params = rng.standard_normal((5, 1))
-    state = TrainState(params.copy(), 0, 0.0, np.random.default_rng(0))
-    out = dsgd_step(state, _matrix(w), data.features, data.labels, task)
+    state = TrainState(params.copy(), 0, 0.0)
+    out = dsgd_step(state, _matrix(w), task.gradient(data.features, data.labels))
     assert np.allclose(out.params, w @ params, atol=1e-14)
 
 
 def test_dsgd_step_rejects_mismatched_mixing():
     task, data, _ = _regression_setup(4)
-    state = TrainState(np.zeros((4, 1)), 0, 0.01, np.random.default_rng(0))
+    state = TrainState(np.zeros((4, 1)), 0, 0.01)
     with pytest.raises(DimensionError):
-        dsgd_step(state, lambda z: np.eye(3) @ z[:3], data.features, data.labels, task)
+        dsgd_step(state, lambda z: np.eye(3) @ z[:3], task.gradient(data.features, data.labels))
 
 
 def test_dsgd_step_preserves_mean_under_full_success():
@@ -214,23 +231,33 @@ def test_dsgd_step_preserves_mean_under_full_success():
     w = base_weight_matrix(g, 1 / 3)
     task, data, _ = _regression_setup(6, seed=3)
     rng = np.random.default_rng(2)
-    state = TrainState(rng.standard_normal((6, 1)), 0, 0.05, rng)
+    state = TrainState(rng.standard_normal((6, 1)), 0, 0.05)
     grads = np.stack(
-        [task.gradient(state.params[j], data.features[j], data.labels[j]) for j in range(6)]
+        [task.gradient(data.features[j], data.labels[j])(state.params[j]) for j in range(6)]
     )
     expected_mean = state.params.mean(axis=0) - 0.05 * grads.mean(axis=0)
-    out = dsgd_step(state, _matrix(w), data.features, data.labels, task)
+    out = dsgd_step(state, _matrix(w), task.gradient(data.features, data.labels))
     assert np.abs(out.params.mean(axis=0) - expected_mean).max() <= 1e-10
 
 
 def test_batch_sampling_is_without_replacement():
-    task = regression_task()
     labels = np.arange(10, dtype=float)
-    data = LocalDataset(np.zeros((1, 10, 0)), labels[np.newaxis])
-    # batch = dataset size keeps the full batch, so the gradient is exact
-    state = TrainState(np.array([[0.0]]), 0, 0.5, np.random.default_rng(0))
-    out = dsgd_step(state, _matrix(np.eye(1)), data.features, data.labels, task, batch_size=10)
-    assert out.params[0, 0] == pytest.approx(0.5 * 2 * labels.mean(), abs=1e-14)
+    data = LocalDataset(np.zeros((3, 10, 0)), np.tile(labels, (3, 1)))
+    rng = np.random.default_rng(0)
+    for size in (1, 4, 9):
+        _, batch = _draw_batch(data.features, data.labels, size, rng)
+        assert batch.shape == (3, size)
+        assert all(len(np.unique(row)) == size for row in batch)
+    # batch >= dataset size keeps the full batch, so the gradient is exact
+    # and the run equals the full-batch one bit for bit.
+    g = ring(6)
+    task, data, test = _regression_setup(6, seed=4)
+    policy = AccessPolicy.uniform(6, 0.3)
+    full = train(g, policy, task, data, test, TrainConfig(iterations=20, seed=2))
+    for size in (20, 25):
+        trace = train(g, policy, task, data, test, TrainConfig(iterations=20, seed=2, batch_size=size))
+        assert np.array_equal(trace.avg_test_loss, full.avg_test_loss)
+        assert np.array_equal(trace.consensus_distance, full.consensus_distance)
 
 
 def test_train_deterministic_bitwise():
@@ -253,6 +280,20 @@ def test_train_divergence_detection():
         train(g, AccessPolicy.uniform(6, 0.3), task, data, test, config)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_divergence_detection_catches_non_finite_params(monkeypatch, value):
+    def mix(z, *args):
+        out = z.copy()
+        out[2] = value
+        return out
+
+    monkeypatch.setattr("radsgd.learning.mix_slot", mix)
+    g = ring(6)
+    task, data, test = _regression_setup(6, seed=7)
+    with pytest.raises(DivergenceError, match="iteration 1 "):
+        train(g, AccessPolicy.uniform(6, 0.3), task, data, test, TrainConfig(iterations=3))
+
+
 def test_train_endpoint_probabilities_use_identity_mixing():
     # at p = 0 and p = 1 nothing is ever decoded, so training is purely
     # local; both traces must be identical to isolated SGD
@@ -272,9 +313,10 @@ def test_train_noiseless_complete_graph_reaches_mean_bias():
     data, test = generate_regression_data(4, 10, seed=5, sigma=0.0)
     biases = data.labels[:, 0]
     w = base_weight_matrix(g, 0.25)
-    state = TrainState(np.zeros((4, 1)), 0, 0.01, np.random.default_rng(0))
+    state = TrainState(np.zeros((4, 1)), 0, 0.01)
+    gradient = task.gradient(data.features, data.labels)
     for _ in range(2000):
-        state = dsgd_step(state, _matrix(w), data.features, data.labels, task)
+        state = dsgd_step(state, _matrix(w), gradient)
     assert np.abs(state.params - biases.mean()).max() <= 1e-3
 
 
@@ -290,6 +332,21 @@ def test_train_mixing_beats_isolated_training():
         consensus[p] = trace.consensus_distance[-1]
     assert finals[1 / 3] < finals[0.0]
     assert consensus[1 / 3] < consensus[0.0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("checkpoint_every", 0),
+    ("checkpoint_every", -3),
+    ("step_size", -0.1),
+    ("step_size", float("nan")),
+    ("step_size", float("inf")),
+])
+def test_train_rejects_bad_config(field, value):
+    g = ring(6)
+    task, data, test = _regression_setup(6, seed=9)
+    config = TrainConfig(iterations=12, seed=0, **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        train(g, AccessPolicy.uniform(6, 0.3), task, data, test, config)
 
 
 def test_train_checkpoint_rules():

@@ -167,6 +167,17 @@ def test_laplacian_ring20():
     assert np.array_equal(lap, lap.T)
 
 
+def test_degrees_and_laplacian_are_computed_once_and_read_only():
+    g = erdos_renyi(10, 0.4, seed=3)
+    assert g.degrees is g.degrees
+    assert laplacian(g) is laplacian(g)
+    assert np.array_equal(g.degrees, g.adjacency.sum(axis=1))
+    assert np.array_equal(laplacian(g), np.diag(g.degrees) - g.adjacency)
+    for array in (g.degrees, laplacian(g)):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_laplacian_positive_semidefinite():
     for g in (ring(6), complete(5), erdos_renyi(10, 0.4, seed=1)):
         vals = np.linalg.eigvalsh(laplacian(g))
