@@ -20,7 +20,6 @@ import dataclasses
 import functools
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -421,6 +420,9 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
     ]
     workers = _worker_count(parallel, len(jobs))
     if workers > 1:
+        # Imported here so serial commands never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, jobs))
     else:

@@ -156,9 +156,10 @@ def consensus_rate(g: Graph, epsilon: float, p: float) -> float:
 
 
 def consensus_rate_scan(g: Graph, epsilon: float, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The grid 0, grid_step, 2 grid_step, ... over [0, 1] and the consensus rate at each point.
+    """The grid 0, grid_step, 2 grid_step, ... and the consensus rate at each point.
 
-    The grid's last point is clamped to 1, where rounding would put it past.
+    The grid runs up to 1 + grid_step/2, and a point past 1 is clamped to 1.
+    So it ends at 1 only when the step nearly divides 1.
     """
     ps = np.minimum(np.arange(0.0, 1.0 + grid_step / 2.0, grid_step), 1.0)
     return ps, np.array([consensus_rate(g, epsilon, float(p)) for p in ps])

@@ -46,7 +46,7 @@ class Graph:
             raise GraphError(
                 f"adjacency shape {a.shape} does not match n={self.n}"
             )
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise GraphError("adjacency entries must be 0 or 1")
         a = a.astype(np.int64)
         if not np.array_equal(a, a.T):

@@ -1,6 +1,10 @@
 """Config parsing, command, CSV, and CLI tests."""
 
+import concurrent.futures
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -284,7 +288,7 @@ class _SerialPool:
 
 @pytest.mark.parametrize("cpus, want", [(64, 6), (4, 4), (None, None)])
 def test_parallel_workers_capped_by_jobs_and_cpus(tmp_path, monkeypatch, cpus, want):
-    monkeypatch.setattr(radsgd.experiments, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     cmd_sweep(_sweep_config(), out_dir=str(tmp_path / "sweep"), parallel=10_000)
@@ -292,6 +296,33 @@ def test_parallel_workers_capped_by_jobs_and_cpus(tmp_path, monkeypatch, cpus, w
     serial = tmp_path / "serial"
     cmd_sweep(_sweep_config(), out_dir=str(serial))
     assert (serial / "sweep.csv").read_bytes() == (tmp_path / "sweep" / "sweep.csv").read_bytes()
+
+
+def test_serial_commands_load_no_pool_machinery(tmp_path):
+    # A fresh interpreter: this test process has already imported the pool.
+    sweep = _write_config(tmp_path / "sweep.cfg", BASE_SWEEP)
+    train = _write_config(tmp_path / "train.cfg", BASE_SWEEP.replace("p = 0, 0.3333333333333333, 1", "p = 0.3"))
+    ring = _write_config(tmp_path / "ring.cfg", "topology = ring\nn = 6\ngrid_step = 0.25\n")
+    runs = [
+        [command, "--config", config, "--out", str(tmp_path / command)]
+        for command, config in [("analyze", ring), ("train", train), ("topology", ring), ("sweep", sweep)]
+    ]
+    pool_modules = ["concurrent.futures", "concurrent.futures.process", "multiprocessing"]
+    script = (
+        "import json, sys\n"
+        "from radsgd.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(radsgd.experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), json.dumps(pool_modules)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
 
 
 def test_cmd_sweep_mixing_beats_endpoints(tmp_path):

@@ -206,12 +206,20 @@ def test_graph_rejects_disconnected():
         Graph(2, np.zeros((2, 2), dtype=int))
 
 
-def test_graph_rejects_non_binary():
-    a = np.zeros((2, 2), dtype=int)
-    a[0, 1] = 2
-    a[1, 0] = 2
-    with pytest.raises(GraphError):
+@pytest.mark.parametrize("value", [2, -1, 0.5, np.nan])
+def test_graph_rejects_non_binary(value):
+    a = np.zeros((2, 2), dtype=np.asarray(value).dtype)
+    a[0, 1] = value
+    a[1, 0] = value
+    with pytest.raises(GraphError, match="must be 0 or 1"):
         Graph(2, a)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, bool])
+def test_graph_accepts_binary_adjacency_of_any_dtype(dtype):
+    g = Graph(3, ring(3).adjacency.astype(dtype))
+    assert g.adjacency.dtype == np.int64
+    np.testing.assert_array_equal(g.adjacency, ring(3).adjacency)
 
 
 def test_graph_adjacency_is_read_only():
