@@ -25,7 +25,6 @@ from .learning import (
     MetricTrace,
     TaskSpec,
     TrainConfig,
-    TrainState,
     classification_task,
     dsgd_step,
     generate_classification_data,

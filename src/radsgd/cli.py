@@ -4,7 +4,7 @@ Every subcommand reads a flat key=value config file and writes its outputs
 into --out. Exit codes: 0 on success, 1 for configuration problems (bad
 flags, malformed config or edge-list files, missing files), 2 for runtime
 or numeric failures (divergent training, exhausted graph generation, I/O
-errors while writing results).
+errors while writing results, arrays too large to allocate).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     except (ConfigError, EdgeListError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RadsgdError, OSError) as exc:
+    except (RadsgdError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

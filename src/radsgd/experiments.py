@@ -45,7 +45,13 @@ _TASKS = ("regression", "classification")
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated contents of one flat key=value config file."""
+    """Validated contents of one flat key=value config file.
+
+    The fields are the config schema. A key is its field's name, except p,
+    which sets probabilities; the annotation picks how the value parses;
+    a field whose metadata has auto also takes the value auto, which
+    leaves it None.
+    """
 
     topology: str
     n: int | None = None
@@ -54,7 +60,7 @@ class ExperimentConfig:
     edge_list: str | None = None
     task: str | None = None
     eta: float = 0.01
-    epsilon: float | None = None
+    epsilon: float | None = dataclasses.field(default=None, metadata={"auto": True})
     iterations: int = 200
     batch_size: int | None = None
     probabilities: tuple[float, ...] = ()
@@ -64,7 +70,7 @@ class ExperimentConfig:
     sigma: float = 0.5
     noise_cov: float = 0.05
     classifier_bias: bool = True
-    checkpoint_every: int | None = None
+    checkpoint_every: int | None = dataclasses.field(default=None, metadata={"auto": True})
     grid_step: float = 0.001
     out: str | None = None
     plots: bool = False
@@ -103,12 +109,18 @@ def _to_float_list(field: str, value: str) -> tuple[float, ...]:
     return tuple(_to_float(field, piece) for piece in items)
 
 
-_KNOWN_KEYS = (
-    "topology", "n", "edge_prob", "graph_seed", "edge_list", "task", "eta",
-    "epsilon", "iterations", "batch_size", "p", "replicates", "seed",
-    "samples_per_node", "sigma", "noise_cov", "classifier_bias",
-    "checkpoint_every", "grid_step", "out", "plots",
-)
+# Parse rule per field annotation, with or without "| None" (annotations
+# are strings under the __future__ import).
+_PARSERS = {
+    "int": _to_int, "float": _to_float, "bool": _to_bool,
+    "str": lambda key, value: value, "tuple[float, ...]": _to_float_list,
+}
+# Config key -> (field name, parse rule, takes auto), read off ExperimentConfig.
+_SCHEMA = {
+    "p" if f.name == "probabilities" else f.name:
+        (f.name, _PARSERS[f.type.removesuffix(" | None")], f.metadata.get("auto", False))
+    for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 # "#" opens a comment at the start of a line or after whitespace, so a "#"
@@ -126,7 +138,7 @@ def _read_pairs(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, value = (piece.strip() for piece in line.split("=", 1))
-            if key not in _KNOWN_KEYS:
+            if key not in _SCHEMA:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in pairs:
                 raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -139,8 +151,9 @@ def _read_pairs(path: str) -> dict[str, str]:
 def parse_config(path: str) -> ExperimentConfig:
     """Parse and validate a flat key=value config file.
 
-    Unknown keys are rejected outright and every error message names the
-    offending field. See the README for the full schema.
+    The accepted keys and their types are ExperimentConfig's fields (see
+    the README for their meaning). Unknown keys are rejected outright and
+    every error message names the offending field.
     """
     pairs = _read_pairs(path)
     if "topology" not in pairs:
@@ -150,30 +163,9 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             f"topology must be one of {', '.join(_TOPOLOGIES)}, got {kwargs['topology']!r}"
         )
-    converters = {
-        "n": lambda v: _to_int("n", v),
-        "edge_prob": lambda v: _to_float("edge_prob", v),
-        "graph_seed": lambda v: _to_int("graph_seed", v),
-        "edge_list": str,
-        "task": str,
-        "eta": lambda v: _to_float("eta", v),
-        "epsilon": lambda v: None if v.lower() == "auto" else _to_float("epsilon", v),
-        "iterations": lambda v: _to_int("iterations", v),
-        "batch_size": lambda v: _to_int("batch_size", v),
-        "replicates": lambda v: _to_int("replicates", v),
-        "seed": lambda v: _to_int("seed", v),
-        "samples_per_node": lambda v: _to_int("samples_per_node", v),
-        "sigma": lambda v: _to_float("sigma", v),
-        "noise_cov": lambda v: _to_float("noise_cov", v),
-        "classifier_bias": lambda v: _to_bool("classifier_bias", v),
-        "checkpoint_every": lambda v: None if v.lower() == "auto" else _to_int("checkpoint_every", v),
-        "grid_step": lambda v: _to_float("grid_step", v),
-        "out": str,
-        "plots": lambda v: _to_bool("plots", v),
-    }
     for key, value in pairs.items():
-        target = "probabilities" if key == "p" else key
-        kwargs[target] = _to_float_list("p", value) if key == "p" else converters[key](value)
+        name, parse, auto = _SCHEMA[key]
+        kwargs[name] = None if auto and value.lower() == "auto" else parse(key, value)
     config = ExperimentConfig(**kwargs)
     _validate(config)
     return config
@@ -378,12 +370,11 @@ def _run_once(config: ExperimentConfig, p: float, replicate: int):
 
 
 def _sweep_worker(args):
-    config, p_index, p, replicate = args
+    config, p, replicate = args
     try:
-        trace = _run_once(config, p, replicate)
+        return _run_once(config, p, replicate), None
     except DivergenceError as exc:
-        return p_index, replicate, None, str(exc)
-    return p_index, replicate, trace, None
+        return None, str(exc)
 
 
 def _trace_rows(p: float, replicate: int | None, trace) -> list[list[str]]:
@@ -413,11 +404,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
         raise ConfigError("p is required for sweep (comma-separated access probabilities)")
     _build.cache_clear()
     _build(config)  # fail fast on a config error; serial cells and forked workers reuse it
-    jobs = [
-        (config, p_index, p, replicate)
-        for p_index, p in enumerate(config.probabilities)
-        for replicate in range(config.replicates)
-    ]
+    jobs = [(config, p, replicate) for p in config.probabilities for replicate in range(config.replicates)]
     workers = _worker_count(parallel, len(jobs))
     if workers > 1:
         # Imported here so serial commands never load multiprocessing.
@@ -427,13 +414,12 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
             outcomes = list(pool.map(_sweep_worker, jobs))
     else:
         outcomes = [_sweep_worker(job) for job in jobs]
-    outcomes.sort(key=lambda item: (item[0], item[1]))
 
+    # Both paths return outcomes in job order, which is the rows' order.
     rows: list[list[str]] = []
     failures: list[tuple[float, int, str]] = []
     final_losses: dict[float, list[float]] = {p: [] for p in config.probabilities}
-    for p_index, replicate, trace, error in outcomes:
-        p = config.probabilities[p_index]
+    for (_, p, replicate), (trace, error) in zip(jobs, outcomes):
         if error is not None:
             failures.append((p, replicate, error))
             continue

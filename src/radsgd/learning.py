@@ -327,15 +327,6 @@ def local_gradient(gradient: Callable[[np.ndarray], np.ndarray], params: np.ndar
     return grad
 
 
-@dataclass
-class TrainState:
-    """Mutable training snapshot: one parameter row per node."""
-
-    params: np.ndarray  # (n, task.dim)
-    iteration: int
-    step_size: float
-
-
 def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int, rng: np.random.Generator):
     """Per-node minibatches of batch_size < m samples without replacement, drawn in node order."""
     n, m = labels.shape
@@ -347,30 +338,25 @@ def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int, rng: 
 
 
 def dsgd_step(
-    state: TrainState,
+    params: np.ndarray,
+    step_size: float,
     mix: Callable[[np.ndarray], np.ndarray],
     gradient: Callable[[np.ndarray], np.ndarray],
-) -> TrainState:
-    """One adapt-then-combine iteration for all n nodes at once.
+) -> np.ndarray:
+    """One adapt-then-combine iteration for all n nodes at once; returns the new (n, dim) params.
 
     gradient is the task's gradient bound to the nodes' stacked batches,
     task.gradient(features, labels) for features (n, m, f) and labels
     (n, m). Every node j computes its half-step z_j = x_j - eta * g_j(x_j)
     on its own batch, all in one local_gradient call; mix maps the stacked
     (n, dim) half-steps to the new models, for example lambda z: w @ z for
-    a mixing matrix w. With identity mixing and eta = 0 the state is
+    a mixing matrix w. With identity mixing and eta = 0 the params are
     unchanged; with eta = 0 the step is exactly mix(params).
     """
-    n, dim = state.params.shape
-    half = state.params - state.step_size * local_gradient(gradient, state.params)
-    mixed = mix(half)
-    if mixed.shape != (n, dim):
-        raise DimensionError(f"mixing returned shape {mixed.shape}, expected {(n, dim)}")
-    return TrainState(
-        params=mixed,
-        iteration=state.iteration + 1,
-        step_size=state.step_size,
-    )
+    mixed = mix(params - step_size * local_gradient(gradient, params))
+    if mixed.shape != params.shape:
+        raise DimensionError(f"mixing returned shape {mixed.shape}, expected {params.shape}")
+    return mixed
 
 
 @dataclass
@@ -456,11 +442,7 @@ def train(
     else:
         def gradient(params):
             return task.gradient(*_draw_batch(data.features, data.labels, config.batch_size, rng))(params)
-    state = TrainState(
-        params=np.zeros((g.n, task.dim)),
-        iteration=0,
-        step_size=config.step_size,
-    )
+    params = np.zeros((g.n, task.dim))
     every = config.checkpoint_every
     if every is None:
         every = 1 if config.iterations <= 1000 else 10
@@ -468,15 +450,17 @@ def train(
     for t in range(1, config.iterations + 1):
         receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
         with np.errstate(over="ignore", invalid="ignore"):
-            state = dsgd_step(state, lambda z: mix_slot(z, receivers, senders, epsilon), gradient)
+            params = dsgd_step(
+                params, config.step_size, lambda z: mix_slot(z, receivers, senders, epsilon), gradient
+            )
         # NaN fails the comparison, so one pass catches NaN and +-inf too.
-        if not (np.abs(state.params).max() <= DIVERGENCE_LIMIT):
+        if not (np.abs(params).max() <= DIVERGENCE_LIMIT):
             raise DivergenceError(
                 f"parameter magnitude exceeded {DIVERGENCE_LIMIT:.0e} at iteration {t} "
                 f"(step_size={config.step_size})"
             )
         if t % every == 0 or t == config.iterations:
-            loss, acc, dist = _evaluate(evaluate, state.params)
+            loss, acc, dist = _evaluate(evaluate, params)
             checkpoints.append(t)
             losses.append(loss)
             accs.append(acc)

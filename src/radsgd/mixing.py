@@ -159,9 +159,13 @@ def consensus_rate_scan(g: Graph, epsilon: float, grid_step: float) -> tuple[np.
     """The grid 0, grid_step, 2 grid_step, ... and the consensus rate at each point.
 
     The grid runs up to 1 + grid_step/2, and a point past 1 is clamped to 1.
-    So it ends at 1 only when the step nearly divides 1.
+    So it ends at 1 only when the step nearly divides 1. Raises DomainError
+    for a step so small that the grid's bytes exceed what numpy can index.
     """
-    ps = np.minimum(np.arange(0.0, 1.0 + grid_step / 2.0, grid_step), 1.0)
+    stop = 1.0 + grid_step / 2.0
+    if stop / grid_step >= np.iinfo(np.intp).max // 8:
+        raise DomainError(f"grid_step {grid_step} gives more grid points than one array can hold")
+    ps = np.minimum(np.arange(0.0, stop, grid_step), 1.0)
     return ps, np.array([consensus_rate(g, epsilon, float(p)) for p in ps])
 
 

@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from radsgd.cli import main
+from radsgd.experiments import _SCHEMA
 
 # Per key: values the parser accepts (some still fail at run time, such as
 # a diverging eta or a graph too sparse to sample), then malformed ones.
@@ -58,6 +59,10 @@ CORE = ("topology", "n", "edge_prob", "graph_seed", "task", "p", "edge_list")
 ODD_LINES = ("", "# a comment", "no equals sign", "bogus = 1", "n =", "= 3", "n = 3")
 
 _no_digits = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12)
+
+
+def test_values_pool_lists_every_config_key():
+    assert sorted(VALUES) == sorted(_SCHEMA)
 
 
 def _pick(draw, valid, malformed):

@@ -1,10 +1,13 @@
 """Config parsing, command, CSV, and CLI tests."""
 
 import concurrent.futures
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +132,59 @@ def test_parse_config_edge_list_topology(tmp_path):
     path = _write_config(tmp_path / "a.cfg", f"topology = edge_list\nedge_list = {edges}\n")
     g = build_graph(parse_config(path))
     assert list(g.degrees) == [1, 2, 1]
+
+
+# One non-default value per ExperimentConfig field; the edge-list path is
+# set per test. A field added without a value here fails the round trip.
+SCHEMA_SAMPLE = {
+    "topology": "edge_list", "n": 7, "edge_prob": 0.4, "graph_seed": 5, "edge_list": None,
+    "task": "classification", "eta": 0.02, "epsilon": 0.1, "iterations": 7, "batch_size": 3,
+    "probabilities": (0.25, 0.5), "replicates": 2, "seed": 9, "samples_per_node": 11,
+    "sigma": 0.25, "noise_cov": 0.125, "classifier_bias": False, "checkpoint_every": 2,
+    "grid_step": 0.125, "out": "elsewhere", "plots": True,
+}
+
+
+def _render(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return str(value)
+
+
+def test_every_config_field_round_trips(tmp_path):
+    edges = tmp_path / "g.txt"
+    edges.write_text("n 3\n0 1\n1 2\n")
+    sample = dict(SCHEMA_SAMPLE, edge_list=str(edges))
+    fields = dataclasses.fields(ExperimentConfig)
+    assert sorted(sample) == sorted(f.name for f in fields)
+    for f in fields:
+        assert sample[f.name] != f.default, f.name
+    text = "".join(
+        f"{'p' if name == 'probabilities' else name} = {_render(value)}\n" for name, value in sample.items()
+    )
+    assert parse_config(_write_config(tmp_path / "a.cfg", text)) == ExperimentConfig(**sample)
+
+
+@pytest.mark.parametrize("key", sorted(radsgd.experiments._SCHEMA))
+def test_only_epsilon_and_checkpoint_every_take_auto(tmp_path, key):
+    lines = {"topology": "ring", "n": "6", key: "AUTO" if key == "epsilon" else "auto"}
+    path = _write_config(tmp_path / "a.cfg", "".join(f"{k} = {v}\n" for k, v in lines.items()))
+    if key in ("epsilon", "checkpoint_every"):
+        assert getattr(parse_config(path), key) is None
+    elif key in ("edge_list", "out"):  # free text: a path named auto
+        assert getattr(parse_config(path), key) == "auto"
+    else:  # batch_size = auto, for one, is "batch_size must be an integer"
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            parse_config(path)
+
+
+def test_readme_key_table_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert sorted(keys) == sorted(radsgd.experiments._SCHEMA)
 
 
 def test_run_seed_reproducible_and_distinct():
@@ -470,6 +526,30 @@ def test_cli_one_node_edge_list_is_config_error(tmp_path, capsys, command):
         f"topology = edge_list\nedge_list = {edges}\ntask = regression\niterations = 2\np = 0.3\n",
     )
     _assert_config_error(capsys, [command, "--config", config, "--out", str(tmp_path / "out")], "edge_list")
+
+
+@pytest.mark.parametrize(
+    "command, text, edges",
+    [
+        ("topology", "topology = ring\nn = 1000000000\n", None),
+        ("topology", "topology = edge_list\nedge_list = {edges}\n", "n 1000000000\n0 1\n"),
+        ("train", "topology = ring\nn = 4\ntask = regression\np = 0.3\nsamples_per_node = 100000000000000000\n", None),
+        ("analyze", "topology = ring\nn = 4\ngrid_step = 1e-300\n", None),
+        # numpy refuses an array of more than 2^63 bytes with a ValueError.
+        ("analyze", "topology = ring\nn = 4\ngrid_step = 2e-19\n", None),
+    ],
+    ids=["ring_n", "edge_list_n", "samples_per_node", "grid_step", "grid_step_bytes"],
+)
+def test_cli_oversized_inputs_are_runtime_errors(tmp_path, capsys, command, text, edges):
+    # The grid cases allocate nothing; in the others the first array asked for
+    # is far above 2^47 bytes, so its allocation fails at once.
+    if edges is not None:
+        (tmp_path / "big.txt").write_text(edges)
+    config = _write_config(tmp_path / "t.cfg", text.format(edges=tmp_path / "big.txt"))
+    capsys.readouterr()
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def test_edge_list_path_may_contain_hash(tmp_path):

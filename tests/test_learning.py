@@ -7,7 +7,6 @@ from radsgd.errors import ConfigError, DimensionError, DivergenceError, DomainEr
 from radsgd.learning import (
     LocalDataset,
     TrainConfig,
-    TrainState,
     _draw_batch,
     classification_task,
     dsgd_step,
@@ -192,18 +191,16 @@ def _matrix(w):
 
 def test_dsgd_step_identity_mixing_zero_step_is_noop():
     task, data, _ = _regression_setup(4)
-    state = TrainState(np.array([[1.0], [2.0], [3.0], [4.0]]), 0, 0.0)
-    out = dsgd_step(state, _matrix(np.eye(4)), task.gradient(data.features, data.labels))
-    assert np.array_equal(out.params, state.params)
-    assert out.iteration == 1
+    params = np.array([[1.0], [2.0], [3.0], [4.0]])
+    out = dsgd_step(params, 0.0, _matrix(np.eye(4)), task.gradient(data.features, data.labels))
+    assert np.array_equal(out, params)
 
 
 def test_dsgd_step_full_averaging_zero_step():
     task, data, _ = _regression_setup(4)
     params = np.array([[1.0], [2.0], [3.0], [4.0]])
-    state = TrainState(params.copy(), 0, 0.0)
-    out = dsgd_step(state, _matrix(np.full((4, 4), 0.25)), task.gradient(data.features, data.labels))
-    assert np.allclose(out.params, 2.5)
+    out = dsgd_step(params.copy(), 0.0, _matrix(np.full((4, 4), 0.25)), task.gradient(data.features, data.labels))
+    assert np.allclose(out, 2.5)
 
 
 def test_dsgd_step_zero_step_is_linear_map():
@@ -212,16 +209,14 @@ def test_dsgd_step_zero_step_is_linear_map():
     w = rng.uniform(0, 1, (5, 5))
     w /= w.sum(axis=1, keepdims=True)
     params = rng.standard_normal((5, 1))
-    state = TrainState(params.copy(), 0, 0.0)
-    out = dsgd_step(state, _matrix(w), task.gradient(data.features, data.labels))
-    assert np.allclose(out.params, w @ params, atol=1e-14)
+    out = dsgd_step(params.copy(), 0.0, _matrix(w), task.gradient(data.features, data.labels))
+    assert np.allclose(out, w @ params, atol=1e-14)
 
 
 def test_dsgd_step_rejects_mismatched_mixing():
     task, data, _ = _regression_setup(4)
-    state = TrainState(np.zeros((4, 1)), 0, 0.01)
     with pytest.raises(DimensionError):
-        dsgd_step(state, lambda z: np.eye(3) @ z[:3], task.gradient(data.features, data.labels))
+        dsgd_step(np.zeros((4, 1)), 0.01, lambda z: np.eye(3) @ z[:3], task.gradient(data.features, data.labels))
 
 
 def test_dsgd_step_preserves_mean_under_full_success():
@@ -231,13 +226,13 @@ def test_dsgd_step_preserves_mean_under_full_success():
     w = base_weight_matrix(g, 1 / 3)
     task, data, _ = _regression_setup(6, seed=3)
     rng = np.random.default_rng(2)
-    state = TrainState(rng.standard_normal((6, 1)), 0, 0.05)
+    params = rng.standard_normal((6, 1))
     grads = np.stack(
-        [task.gradient(data.features[j], data.labels[j])(state.params[j]) for j in range(6)]
+        [task.gradient(data.features[j], data.labels[j])(params[j]) for j in range(6)]
     )
-    expected_mean = state.params.mean(axis=0) - 0.05 * grads.mean(axis=0)
-    out = dsgd_step(state, _matrix(w), task.gradient(data.features, data.labels))
-    assert np.abs(out.params.mean(axis=0) - expected_mean).max() <= 1e-10
+    expected_mean = params.mean(axis=0) - 0.05 * grads.mean(axis=0)
+    out = dsgd_step(params, 0.05, _matrix(w), task.gradient(data.features, data.labels))
+    assert np.abs(out.mean(axis=0) - expected_mean).max() <= 1e-10
 
 
 def test_batch_sampling_is_without_replacement():
@@ -313,11 +308,11 @@ def test_train_noiseless_complete_graph_reaches_mean_bias():
     data, test = generate_regression_data(4, 10, seed=5, sigma=0.0)
     biases = data.labels[:, 0]
     w = base_weight_matrix(g, 0.25)
-    state = TrainState(np.zeros((4, 1)), 0, 0.01)
+    params = np.zeros((4, 1))
     gradient = task.gradient(data.features, data.labels)
     for _ in range(2000):
-        state = dsgd_step(state, _matrix(w), gradient)
-    assert np.abs(state.params - biases.mean()).max() <= 1e-3
+        params = dsgd_step(params, 0.01, _matrix(w), gradient)
+    assert np.abs(params - biases.mean()).max() <= 1e-3
 
 
 def test_train_mixing_beats_isolated_training():
