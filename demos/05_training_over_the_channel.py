@@ -10,12 +10,7 @@ model that is good for the whole network.
 
 import numpy as np
 
-from radsgd.learning import (
-    TrainConfig,
-    generate_regression_data,
-    regression_task,
-    train,
-)
+from radsgd.learning import generate_regression_data, regression_task, train
 from radsgd.mac import AccessPolicy, optimal_access_probability
 from radsgd.topology import ring
 
@@ -27,10 +22,9 @@ biases = data.labels.mean(axis=1)
 print(f"per-node label means range from {biases.min():.2f} to {biases.max():.2f},")
 print("so no single node can learn the network-wide optimum alone.\n")
 
-config = TrainConfig(iterations=200, step_size=0.01, seed=0)
 print("final average test loss after 200 iterations:")
 for p in (0.0, optimal_access_probability(g), 1.0):
-    trace = train(g, AccessPolicy.uniform(g.n, p), task, data, test, config)
+    trace = train(g, AccessPolicy.uniform(g.n, p), task, data, test, iterations=200, step_size=0.01, seed=0)
     print(
         f"  p={p:.3f}: loss={trace.avg_test_loss[-1]:7.4f}  "
         f"consensus distance={trace.consensus_distance[-1]:8.4f}"
@@ -40,7 +34,7 @@ for p in (0.0, optimal_access_probability(g), 1.0):
 # gradient descent, since a collision delivers nothing. The interior p
 # cuts the loss by well over a third and keeps the nodes close together.
 
-trace = train(g, AccessPolicy.uniform(g.n, 1 / 3), task, data, test, config)
+trace = train(g, AccessPolicy.uniform(g.n, 1 / 3), task, data, test, iterations=200, step_size=0.01, seed=0)
 print("\nloss trajectory at p=1/3 (every 25 iterations):")
 for i in range(0, len(trace.iterations), 25):
     print(f"  t={trace.iterations[i]:4d}  loss={trace.avg_test_loss[i]:.4f}")

@@ -24,7 +24,6 @@ from .learning import (
     LocalDataset,
     MetricTrace,
     TaskSpec,
-    TrainConfig,
     classification_task,
     dsgd_step,
     generate_classification_data,

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, DomainError
 from .learning import (
-    TrainConfig,
     classification_task,
     generate_classification_data,
     generate_regression_data,
@@ -357,16 +356,11 @@ def _build(config: ExperimentConfig):
 
 def _run_once(config: ExperimentConfig, p: float, replicate: int):
     task, g, epsilon, data, test = _build(config)
-    policy = AccessPolicy.uniform(g.n, p)
-    train_config = TrainConfig(
-        iterations=config.iterations,
-        step_size=config.eta,
-        epsilon=epsilon,
-        batch_size=config.batch_size,
-        seed=run_seed(config.seed, p, replicate),
+    return train(
+        g, AccessPolicy.uniform(g.n, p), task, data, test, iterations=config.iterations, step_size=config.eta,
+        epsilon=epsilon, batch_size=config.batch_size, seed=run_seed(config.seed, p, replicate),
         checkpoint_every=config.checkpoint_every,
     )
-    return train(g, policy, task, data, test, train_config)
 
 
 def _sweep_worker(args):

@@ -18,6 +18,7 @@ model).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,8 +37,12 @@ from .topology import Graph
 
 DIVERGENCE_LIMIT = 1e9
 # Bound on the logits block a classification evaluator holds at once; it
-# sets how many nodes share one (k, n_classes, T) product.
+# sets how many nodes share one (k, N_CLASSES, T) product.
 EVAL_BLOCK_BYTES = 1 << 17
+# The two data setups: N_CLASSES clusters in FEATURE_DIM dimensions, centres
+# drawn from (CENTER_LOW, CENTER_HIGH); regression biases from (BIAS_LOW, BIAS_HIGH).
+N_CLASSES, FEATURE_DIM, CENTER_LOW, CENTER_HIGH = 4, 2, -1.0, 1.0
+BIAS_LOW, BIAS_HIGH = -1.0, 5.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,6 @@ class TaskSpec:
     statistics of the test set computed once and with bounded temporaries.
     """
 
-    kind: str
     dim: int
     loss: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
@@ -99,7 +103,7 @@ class LocalDataset:
         if labs.size < 1:
             raise DimensionError("a dataset needs at least one sample")
         if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(labs))):
-            raise ValueError("dataset entries must be finite")
+            raise DomainError("dataset entries must be finite")
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -146,29 +150,29 @@ def regression_task() -> TaskSpec:
 
         return evaluate
 
-    return TaskSpec(kind="regression", dim=1, loss=loss, gradient=gradient, evaluator=evaluator)
+    return TaskSpec(dim=1, loss=loss, gradient=gradient, evaluator=evaluator)
 
 
-def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = True) -> TaskSpec:
+def classification_task(bias: bool = True) -> TaskSpec:
     """Linear softmax classifier with cross-entropy loss.
 
-    Parameters are a (feature_dim + 1) x n_classes matrix flattened row-major
-    when bias is enabled (the last row is the per-class bias), feature_dim x
-    n_classes without. Cluster centers drawn near the origin are generally
+    Parameters are a (FEATURE_DIM + 1) x N_CLASSES matrix flattened row-major
+    when bias is enabled (the last row is the per-class bias), FEATURE_DIM x
+    N_CLASSES without. Cluster centers drawn near the origin are generally
     not separable by hyperplanes through the origin, hence the bias default.
 
-    Internally the class scores are laid out (..., n_classes, m), class axis
+    Internally the class scores are laid out (..., N_CLASSES, m), class axis
     ahead of the sample axis: the softmax reductions then run over an outer
     axis, which numpy does far faster than over a short innermost one.
     """
-    rows = feature_dim + (1 if bias else 0)
-    classes = np.arange(n_classes)[:, np.newaxis]
+    rows = FEATURE_DIM + (1 if bias else 0)
+    classes = np.arange(N_CLASSES)[:, np.newaxis]
 
     def logits(params, features):
-        w = params.reshape(params.shape[:-1] + (rows, n_classes))
-        z = np.swapaxes(w[..., :feature_dim, :], -1, -2) @ np.swapaxes(features, -1, -2)
+        w = params.reshape(params.shape[:-1] + (rows, N_CLASSES))
+        z = np.swapaxes(w[..., :FEATURE_DIM, :], -1, -2) @ np.swapaxes(features, -1, -2)
         if bias:
-            z = z + w[..., feature_dim, :, np.newaxis]
+            z = z + w[..., FEATURE_DIM, :, np.newaxis]
         return z
 
     def loss(params, features, labels):
@@ -179,7 +183,7 @@ def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = T
         return -np.mean(picked[..., 0, :], axis=-1)
 
     def gradient(features, labels):
-        # The gradient in the (rows, n_classes) layout of params is
+        # The gradient in the (rows, N_CLASSES) layout of params is
         # x^T (softmax(z) - onehot) / m for inputs x (..., m, rows) with a
         # ones column for the bias; the onehot half depends on the data
         # alone and is computed here.
@@ -187,12 +191,12 @@ def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = T
         if bias:
             features = np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
         inputs = np.ascontiguousarray(np.swapaxes(features, -1, -2))  # (..., rows, m)
-        onehot = (labels[..., np.newaxis, :] == classes).astype(float)  # (..., n_classes, m)
-        label_term = inputs @ np.swapaxes(onehot, -1, -2) / size  # (..., rows, n_classes)
+        onehot = (labels[..., np.newaxis, :] == classes).astype(float)  # (..., N_CLASSES, m)
+        label_term = inputs @ np.swapaxes(onehot, -1, -2) / size  # (..., rows, N_CLASSES)
 
         def bound(params):
-            w = params.reshape(params.shape[:-1] + (rows, n_classes))
-            z = np.swapaxes(w, -1, -2) @ inputs  # (..., n_classes, m)
+            w = params.reshape(params.shape[:-1] + (rows, N_CLASSES))
+            z = np.swapaxes(w, -1, -2) @ inputs  # (..., N_CLASSES, m)
             z -= z.max(axis=-2, keepdims=True)
             np.exp(z, out=z)
             z /= z.sum(axis=-2, keepdims=True)
@@ -211,18 +215,18 @@ def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = T
         inputs = features.T
         if bias:
             inputs = np.vstack([inputs, np.ones(size)])  # (rows, T): the bias row multiplies ones
-        # Position of each sample's label score in a flattened (n_classes, T) block.
+        # Position of each sample's label score in a flattened (N_CLASSES, T) block.
         label_at = labels * size + np.arange(size)
         # predict's argmax takes the first of tied maxima, so a sample is
         # wrong when an earlier class scores >= its label or a later one >.
-        earlier = classes < labels  # (n_classes, T)
-        block = max(1, EVAL_BLOCK_BYTES // (n_classes * size * 8))
+        earlier = classes < labels  # (N_CLASSES, T)
+        block = max(1, EVAL_BLOCK_BYTES // (N_CLASSES * size * 8))
 
         def evaluate(params):
-            weights = np.swapaxes(params.reshape(-1, rows, n_classes), -1, -2)
+            weights = np.swapaxes(params.reshape(-1, rows, N_CLASSES), -1, -2)
             total, wrong = 0.0, 0
             for start in range(0, weights.shape[0], block):
-                z = weights[start:start + block] @ inputs  # (k, n_classes, T)
+                z = weights[start:start + block] @ inputs  # (k, N_CLASSES, T)
                 picked = np.take(z.reshape(z.shape[0], -1), label_at, axis=1)  # (k, T)
                 beaten = z > picked[:, np.newaxis]
                 beaten |= earlier & (z == picked[:, np.newaxis])
@@ -238,8 +242,7 @@ def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = T
         return evaluate
 
     return TaskSpec(
-        kind="classification",
-        dim=rows * n_classes,
+        dim=rows * N_CLASSES,
         loss=loss,
         gradient=gradient,
         evaluator=evaluator,
@@ -247,27 +250,29 @@ def classification_task(n_classes: int = 4, feature_dim: int = 2, bias: bool = T
     )
 
 
+def _check_sizes(n_nodes: int, samples_per_node: int, test_per_node: int, sample_bytes: int):
+    """ConfigError for a size below 1; DimensionError when numpy cannot index the bytes of the data."""
+    if n_nodes < 1 or samples_per_node < 1:
+        raise ConfigError("n_nodes and samples_per_node must be positive")
+    samples = max(samples_per_node, test_per_node)
+    if int(n_nodes) * int(samples) * sample_bytes > np.iinfo(np.intp).max:
+        raise DimensionError(f"{n_nodes} nodes of {samples} samples are more than one array can hold")
+
+
 def generate_regression_data(
-    n_nodes: int,
-    samples_per_node: int,
-    seed,
-    sigma: float = 0.5,
-    bias_low: float = -1.0,
-    bias_high: float = 5.0,
-    test_per_node: int = 100,
+    n_nodes: int, samples_per_node: int, seed, sigma: float = 0.5, test_per_node: int = 100
 ) -> tuple[LocalDataset, LocalDataset]:
     """Non-IID regression data: node i observes y = b_i + noise.
 
-    Per-node bias values are drawn uniformly from (bias_low, bias_high) and
+    Per-node bias values are drawn uniformly from (BIAS_LOW, BIAS_HIGH) and
     the noise is N(0, sigma^2). Returns the (n_nodes, samples_per_node)
     node data and the test set, which holds test_per_node samples for every
     bias value in node order, so each bias is equally represented. The
     features have no columns. Deterministic for a fixed seed.
     """
-    if n_nodes < 1 or samples_per_node < 1:
-        raise ConfigError("n_nodes and samples_per_node must be positive")
+    _check_sizes(n_nodes, samples_per_node, test_per_node, 8)
     rng = np.random.default_rng(seed)
-    biases = rng.uniform(bias_low, bias_high, (n_nodes, 1))
+    biases = rng.uniform(BIAS_LOW, BIAS_HIGH, (n_nodes, 1))
     labels = biases + sigma * rng.standard_normal((n_nodes, samples_per_node))
     test_labels = (biases + sigma * rng.standard_normal((n_nodes, test_per_node))).ravel()
     return (
@@ -277,42 +282,33 @@ def generate_regression_data(
 
 
 def generate_classification_data(
-    n_nodes: int,
-    samples_per_node: int,
-    seed,
-    noise_cov: float = 0.05,
-    n_classes: int = 4,
-    feature_dim: int = 2,
-    center_low: float = -1.0,
-    center_high: float = 1.0,
-    test_per_node: int = 100,
+    n_nodes: int, samples_per_node: int, seed, noise_cov: float = 0.05, test_per_node: int = 100
 ) -> tuple[LocalDataset, LocalDataset]:
-    """Non-IID clustered classification data; node i sees only class i mod n_classes.
+    """Non-IID clustered classification data; node i sees only class i mod N_CLASSES.
 
-    One center per class is drawn uniformly from (center_low, center_high)^2
+    One center per class is drawn uniformly from (CENTER_LOW, CENTER_HIGH)^FEATURE_DIM
     once per seed; samples are the center plus N(0, noise_cov * I) noise.
-    n_nodes must be divisible by n_classes so classes are represented by
+    n_nodes must be divisible by N_CLASSES so classes are represented by
     equally many nodes. Returns the (n_nodes, samples_per_node) node data
-    and the test set, balanced with test_per_node * n_nodes / n_classes
+    and the test set, balanced with test_per_node * n_nodes / N_CLASSES
     samples per class in class order.
     """
-    if n_nodes < 1 or samples_per_node < 1:
-        raise ConfigError("n_nodes and samples_per_node must be positive")
-    if n_nodes % n_classes != 0:
+    _check_sizes(n_nodes, samples_per_node, test_per_node, 8 * FEATURE_DIM)
+    if n_nodes % N_CLASSES != 0:
         raise ConfigError(
-            f"n_nodes must be divisible by {n_classes} so each class has "
+            f"n_nodes must be divisible by {N_CLASSES} so each class has "
             f"equally many nodes, got {n_nodes}"
         )
     if noise_cov < 0.0:
         raise ConfigError(f"noise_cov must be nonnegative, got {noise_cov}")
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(center_low, center_high, (n_classes, feature_dim))
+    centers = rng.uniform(CENTER_LOW, CENTER_HIGH, (N_CLASSES, FEATURE_DIM))
     scale = np.sqrt(noise_cov)
     size = (n_nodes, samples_per_node)
-    labels = np.repeat(np.arange(n_nodes, dtype=np.int64) % n_classes, samples_per_node).reshape(size)
-    features = centers[labels] + scale * rng.standard_normal(size + (feature_dim,))
-    test_labels = np.repeat(np.arange(n_classes, dtype=np.int64), test_per_node * n_nodes // n_classes)
-    test_features = centers[test_labels] + scale * rng.standard_normal(test_labels.shape + (feature_dim,))
+    labels = np.repeat(np.arange(n_nodes, dtype=np.int64) % N_CLASSES, samples_per_node).reshape(size)
+    features = centers[labels] + scale * rng.standard_normal(size + (FEATURE_DIM,))
+    test_labels = np.repeat(np.arange(N_CLASSES, dtype=np.int64), test_per_node * n_nodes // N_CLASSES)
+    test_features = centers[test_labels] + scale * rng.standard_normal(test_labels.shape + (FEATURE_DIM,))
     return LocalDataset(features, labels), LocalDataset(test_features, test_labels)
 
 
@@ -374,21 +370,12 @@ class MetricTrace:
     consensus_distance: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Knobs for one training run.
-
-    epsilon None means 1/(d_max + 1); batch_size None means the full local
-    dataset; checkpoint_every None records every iteration up to 1000 total
-    iterations and every 10th beyond that, always including the final one.
-    """
-
-    iterations: int
-    step_size: float = 0.01
-    epsilon: float | None = None
-    batch_size: int | None = None
-    seed: int | np.random.SeedSequence = 0
-    checkpoint_every: int | None = None
+def _integer(name: str, value) -> int:
+    """value as an int (numpy integers pass), or ConfigError naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _evaluate(evaluate: Callable[[np.ndarray], tuple[float, float]], params: np.ndarray):
@@ -401,12 +388,9 @@ def _evaluate(evaluate: Callable[[np.ndarray], tuple[float, float]], params: np.
 
 
 def train(
-    g: Graph,
-    policy: AccessPolicy,
-    task: TaskSpec,
-    data: LocalDataset,
-    test: LocalDataset,
-    config: TrainConfig,
+    g: Graph, policy: AccessPolicy, task: TaskSpec, data: LocalDataset, test: LocalDataset, *,
+    iterations: int, step_size: float = 0.01, epsilon: float | None = None, batch_size: int | None = None,
+    seed: int | np.random.SeedSequence = 0, checkpoint_every: int | None = None,
 ) -> MetricTrace:
     """Run D-SGD with random access and broadcast transmission.
 
@@ -419,47 +403,56 @@ def train(
     evaluator is bound once for all checkpoints. The task's gradient is
     bound to data once per run, or, with minibatches, to each slot's
     batch as that slot draws it.
-    Bit-reproducible for a fixed config and seed. Raises DivergenceError
+
+    epsilon None means 1/(d_max + 1); batch_size None, or one at least the
+    local dataset size, means the full local dataset; checkpoint_every None
+    records every iteration up to 1000 total iterations and every 10th
+    beyond that. The final iteration is always recorded. A non-integer
+    iterations, batch_size or checkpoint_every raises ConfigError.
+    Bit-reproducible for fixed arguments and seed. Raises DivergenceError
     as soon as any parameter magnitude exceeds 1e9 or is NaN.
     """
-    if config.iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {config.iterations}")
-    if config.checkpoint_every is not None and config.checkpoint_every < 1:
-        raise ConfigError(f"checkpoint_every must be >= 1, got {config.checkpoint_every}")
-    if not 0.0 <= config.step_size < np.inf:
-        raise ConfigError(f"step_size must be a nonnegative finite number, got {config.step_size}")
+    iterations = _integer("iterations", iterations)
+    if iterations < 1:
+        raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    if checkpoint_every is not None and _integer("checkpoint_every", checkpoint_every) < 1:
+        raise ConfigError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    if batch_size is not None:
+        batch_size = _integer("batch_size", batch_size)
+    if not 0.0 <= step_size < np.inf:
+        raise ConfigError(f"step_size must be a nonnegative finite number, got {step_size}")
     if policy.n != g.n:
         raise DimensionError(f"policy size {policy.n} does not match n={g.n}")
     if data.labels.ndim != 2 or data.labels.shape[0] != g.n:
         raise DimensionError(f"data labels {data.labels.shape} do not stack n={g.n} nodes")
     if test.labels.ndim != 1:
         raise DimensionError(f"test labels {test.labels.shape} are not one (T,) set")
-    epsilon = default_epsilon(g) if config.epsilon is None else check_epsilon(g, config.epsilon)
+    epsilon = default_epsilon(g) if epsilon is None else check_epsilon(g, epsilon)
     evaluate = task.evaluator(test.features, test.labels)
-    rng = np.random.default_rng(config.seed)
-    if config.batch_size is None or config.batch_size >= data.size:
+    rng = np.random.default_rng(seed)
+    if batch_size is None or batch_size >= data.size:
         gradient = task.gradient(data.features, data.labels)
     else:
         def gradient(params):
-            return task.gradient(*_draw_batch(data.features, data.labels, config.batch_size, rng))(params)
+            return task.gradient(*_draw_batch(data.features, data.labels, batch_size, rng))(params)
     params = np.zeros((g.n, task.dim))
-    every = config.checkpoint_every
+    every = checkpoint_every
     if every is None:
-        every = 1 if config.iterations <= 1000 else 10
+        every = 1 if iterations <= 1000 else 10
     checkpoints, losses, accs, consensus = [], [], [], []
-    for t in range(1, config.iterations + 1):
+    for t in range(1, iterations + 1):
         receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
         with np.errstate(over="ignore", invalid="ignore"):
             params = dsgd_step(
-                params, config.step_size, lambda z: mix_slot(z, receivers, senders, epsilon), gradient
+                params, step_size, lambda z: mix_slot(z, receivers, senders, epsilon), gradient
             )
         # NaN fails the comparison, so one pass catches NaN and +-inf too.
         if not (np.abs(params).max() <= DIVERGENCE_LIMIT):
             raise DivergenceError(
                 f"parameter magnitude exceeded {DIVERGENCE_LIMIT:.0e} at iteration {t} "
-                f"(step_size={config.step_size})"
+                f"(step_size={step_size})"
             )
-        if t % every == 0 or t == config.iterations:
+        if t % every == 0 or t == iterations:
             loss, acc, dist = _evaluate(evaluate, params)
             checkpoints.append(t)
             losses.append(loss)

@@ -160,8 +160,10 @@ def consensus_rate_scan(g: Graph, epsilon: float, grid_step: float) -> tuple[np.
 
     The grid runs up to 1 + grid_step/2, and a point past 1 is clamped to 1.
     So it ends at 1 only when the step nearly divides 1. Raises DomainError
-    for a step so small that the grid's bytes exceed what numpy can index.
+    for a step that is not positive and finite or whose grid numpy cannot index.
     """
+    if not 0.0 < grid_step < np.inf:
+        raise DomainError(f"grid_step must be a positive finite number, got {grid_step}")
     stop = 1.0 + grid_step / 2.0
     if stop / grid_step >= np.iinfo(np.intp).max // 8:
         raise DomainError(f"grid_step {grid_step} gives more grid points than one array can hold")

@@ -93,11 +93,18 @@ class Graph:
         return np.flatnonzero(self.adjacency[i])
 
 
+def _square(n: int) -> tuple[int, int]:
+    """The shape (n, n), or GraphError when numpy cannot index the bytes of an n x n matrix."""
+    if int(n) ** 2 * 8 > np.iinfo(np.intp).max:
+        raise GraphError(f"n={n} gives an adjacency matrix larger than one array can hold")
+    return n, n
+
+
 def ring(n: int) -> Graph:
     """Cycle graph: node i adjacent to (i - 1) mod n and (i + 1) mod n."""
     if n < 3:
         raise GraphError(f"ring requires n >= 3, got {n}")
-    a = np.zeros((n, n), dtype=np.int64)
+    a = np.zeros(_square(n), dtype=np.int64)
     idx = np.arange(n)
     a[idx, (idx + 1) % n] = 1
     a[(idx + 1) % n, idx] = 1
@@ -108,7 +115,7 @@ def complete(n: int) -> Graph:
     """Complete graph: every pair of distinct nodes is an edge."""
     if n < 2:
         raise GraphError(f"complete graph requires n >= 2, got {n}")
-    a = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+    a = np.ones(_square(n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return Graph(n, a)
 
 
@@ -124,9 +131,11 @@ def erdos_renyi(n: int, edge_prob: float, seed: int) -> Graph:
         raise GraphError(f"erdos_renyi requires n >= 2, got {n}")
     if not 0.0 < edge_prob <= 1.0:
         raise GraphError(f"edge_prob must lie in (0, 1], got {edge_prob}")
+    if seed < 0:
+        raise GraphError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     for _ in range(MAX_GENERATION_ATTEMPTS):
-        upper = np.triu(rng.random((n, n)) < edge_prob, k=1)
+        upper = np.triu(rng.random(_square(n)) < edge_prob, k=1)
         a = (upper | upper.T).astype(np.int64)
         if _is_connected(a):
             return Graph(n, a)
@@ -162,7 +171,7 @@ def from_edge_list(text: str) -> Graph:
                 raise EdgeListError(f"node count {fields[1]!r} is not an integer", lineno)
             if n < 1:
                 raise EdgeListError(f"node count must be positive, got {n}", lineno)
-            adjacency = np.zeros((n, n), dtype=np.int64)
+            adjacency = np.zeros(_square(n), dtype=np.int64)
             continue
         if len(fields) != 2:
             raise EdgeListError(f"expected '<u> <v>', got {line!r}", lineno)

@@ -8,7 +8,6 @@ from radsgd.errors import DimensionError
 from radsgd.learning import (
     EVAL_BLOCK_BYTES,
     LocalDataset,
-    TrainConfig,
     classification_task,
     generate_classification_data,
     generate_regression_data,
@@ -49,12 +48,12 @@ def test_stacked_calls_equal_per_node_calls(name):
         assert np.array_equal(task.predict(params, features), want)
 
 
-def _per_call_gradient(task, params, features, labels):
+def _per_call_gradient(name, params, features, labels):
     """The gradient as it was computed per call before it was bound to its batch."""
-    if task.kind == "regression":
+    if name == "regression":
         return 2.0 * np.mean(params[..., :1] - labels, axis=-1, keepdims=True)
     f = features.shape[-1]
-    rows = task.dim // 4
+    rows = TASKS[name][0].dim // 4
     w = params.reshape(params.shape[:-1] + (rows, 4))
     z = np.swapaxes(w[..., :f, :], -1, -2) @ np.swapaxes(features, -1, -2)
     if rows > f:
@@ -108,7 +107,7 @@ def test_bound_gradient_matches_per_call_formula(name, scale):
         logits = np.abs(params.reshape(n, -1, 4)[:, :f].swapaxes(-1, -2) @ features.swapaxes(-1, -2))
         assert logits.max() > 3.0 * scale  # about 1e3 at scale 300
     bound = task.gradient(features, labels)
-    want = _per_call_gradient(task, params, features, labels)
+    want = _per_call_gradient(name, params, features, labels)
     np.testing.assert_allclose(bound(params), want, rtol=1e-12, atol=0)
     # One node's params against its own samples, through the same binding rule.
     np.testing.assert_allclose(
@@ -127,20 +126,21 @@ def test_minibatch_run_draws_the_per_call_batches(name):
     else:
         data, test = generate_classification_data(8, 12, seed=3)
     policy = AccessPolicy.uniform(g.n, 0.2)
-    config = TrainConfig(iterations=30, step_size=0.05, batch_size=5, seed=9, checkpoint_every=1)
-    trace = train(g, policy, task, data, test, config)
+    iterations, step_size, seed = 30, 0.05, 9
+    trace = train(g, policy, task, data, test, iterations=iterations, step_size=step_size, batch_size=5,
+                  seed=seed, checkpoint_every=1)
     # The loop train ran before the gradient was bound: the channel first,
     # then one batch per node in node order from the same stream.
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     epsilon = default_epsilon(g)
     evaluate = task.evaluator(test.features, test.labels)
     params = np.zeros((g.n, task.dim))
     rows = np.arange(g.n)[:, np.newaxis]
-    for t in range(config.iterations):
+    for t in range(iterations):
         receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
         idx = np.stack([rng.choice(12, size=5, replace=False) for _ in range(g.n)])
-        grad = _per_call_gradient(task, params, data.features[rows, idx], data.labels[rows, idx])
-        params = mix_slot(params - config.step_size * grad, receivers, senders, epsilon)
+        grad = _per_call_gradient(name, params, data.features[rows, idx], data.labels[rows, idx])
+        params = mix_slot(params - step_size * grad, receivers, senders, epsilon)
         loss, acc = evaluate(params)
         np.testing.assert_allclose(trace.avg_test_loss[t], loss, rtol=1e-12)
         if name == "classification":
@@ -161,7 +161,7 @@ def test_one_local_gradient_call_per_slot(monkeypatch, batch_size):
     monkeypatch.setattr("radsgd.learning.local_gradient", counting)
     data, test = generate_classification_data(8, 10, seed=0)
     train(ring(8), AccessPolicy.uniform(8, 0.3), classification_task(), data, test,
-          TrainConfig(iterations=7, batch_size=batch_size))
+          iterations=7, batch_size=batch_size)
     assert calls == [(8, 12)] * 7
 
 
@@ -197,18 +197,18 @@ def test_decoding_links_follow_the_collision_rule():
 
 def test_train_rejects_data_not_stacked_over_the_graph():
     g = ring(4)
-    task, config = classification_task(), TrainConfig(iterations=2)
+    task = classification_task()
     data, test = generate_classification_data(8, 10, seed=0)
     with pytest.raises(DimensionError, match="n=4"):
-        train(g, AccessPolicy.uniform(4, 0.3), task, data, test, config)
+        train(g, AccessPolicy.uniform(4, 0.3), task, data, test, iterations=2)
     # One node's (m, f) / (m,) samples, even with m = n, are not node data.
     one_node = LocalDataset(data.features[0, :4], data.labels[0, :4])
     with pytest.raises(DimensionError, match="n=4"):
-        train(g, AccessPolicy.uniform(4, 0.3), task, one_node, test, config)
+        train(g, AccessPolicy.uniform(4, 0.3), task, one_node, test, iterations=2)
     four, _ = generate_classification_data(4, 10, seed=0)
     stacked_test = LocalDataset(test.features.reshape(4, -1, 2), test.labels.reshape(4, -1))
     with pytest.raises(DimensionError, match="test labels"):
-        train(g, AccessPolicy.uniform(4, 0.3), task, four, stacked_test, config)
+        train(g, AccessPolicy.uniform(4, 0.3), task, four, stacked_test, iterations=2)
 
 
 def _per_node_metrics(task, params, features, labels):
@@ -256,7 +256,7 @@ def test_evaluator_zero_params_ties_every_class(bias):
     np.testing.assert_allclose(loss, np.log(4.0), rtol=1e-15)
     assert acc == 0.25
     trace = train(ring(8), AccessPolicy.uniform(8, 0.3), task, data, test,
-                  TrainConfig(iterations=3, step_size=0.0))
+                  iterations=3, step_size=0.0)
     np.testing.assert_allclose(trace.avg_test_loss, np.log(4.0), rtol=1e-15)
     assert np.all(trace.accuracy == 0.25)
 

@@ -1,0 +1,63 @@
+"""The library's entry points raise RadsgdError subclasses for bad arguments."""
+
+import numpy as np
+import pytest
+
+from radsgd.errors import ConfigError, DimensionError, DomainError, GraphError, RadsgdError
+from radsgd.learning import (
+    LocalDataset,
+    generate_classification_data,
+    generate_regression_data,
+    regression_task,
+    train,
+)
+from radsgd.mac import AccessPolicy
+from radsgd.mixing import consensus_rate_scan, spectral_optimal_probability
+from radsgd.topology import complete, erdos_renyi, from_edge_list, ring
+
+
+def _train(**keywords):
+    g = ring(4)
+    data, test = generate_regression_data(4, 6, seed=0)
+    return train(g, AccessPolicy.uniform(4, 0.3), regression_task(), data, test, **keywords)
+
+
+CASES = {
+    "erdos_renyi_negative_seed": (GraphError, lambda: erdos_renyi(5, 0.5, -1)),
+    "ring_n_bytes": (GraphError, lambda: ring(1_100_000_000)),
+    "ring_n_dimension": (GraphError, lambda: ring(10 ** 20)),
+    "complete_n_bytes": (GraphError, lambda: complete(10 ** 10)),
+    "erdos_renyi_n_bytes": (GraphError, lambda: erdos_renyi(1_100_000_000, 0.5, 0)),
+    "edge_list_n_bytes": (GraphError, lambda: from_edge_list("n 1100000000\n0 1\n")),
+    "scan_grid_step_zero": (DomainError, lambda: consensus_rate_scan(ring(4), 0.25, 0.0)),
+    "scan_grid_step_negative": (DomainError, lambda: consensus_rate_scan(ring(4), 0.25, -0.1)),
+    "scan_grid_step_nan": (DomainError, lambda: consensus_rate_scan(ring(4), 0.25, np.nan)),
+    "scan_grid_step_inf": (DomainError, lambda: consensus_rate_scan(ring(4), 0.25, np.inf)),
+    "optimum_grid_step_zero": (DomainError, lambda: spectral_optimal_probability(ring(4), 0.25, grid_step=0)),
+    "optimum_grid_step_negative": (DomainError, lambda: spectral_optimal_probability(ring(4), 0.25, grid_step=-0.1)),
+    "optimum_grid_step_nan": (DomainError, lambda: spectral_optimal_probability(ring(4), 0.25, grid_step=np.nan)),
+    "dataset_nan_feature": (DomainError, lambda: LocalDataset(np.full((2, 1), np.nan), np.zeros(2))),
+    "dataset_inf_label": (DomainError, lambda: LocalDataset(np.zeros((2, 1)), np.array([0.0, np.inf]))),
+    "regression_sigma_nan": (DomainError, lambda: generate_regression_data(4, 5, 0, sigma=np.nan)),
+    "regression_samples_bytes": (DimensionError, lambda: generate_regression_data(4, 3 * 10 ** 18, 0)),
+    "regression_samples_dimension": (DimensionError, lambda: generate_regression_data(4, 10 ** 19, 0)),
+    "classification_samples_bytes": (DimensionError, lambda: generate_classification_data(4, 3 * 10 ** 18, 0)),
+    "classification_samples_dimension": (DimensionError, lambda: generate_classification_data(4, 10 ** 19, 0)),
+    "train_iterations_float": (ConfigError, lambda: _train(iterations=1.5)),
+    "train_iterations_str": (ConfigError, lambda: _train(iterations="3")),
+    "train_checkpoint_every_float": (ConfigError, lambda: _train(iterations=5, checkpoint_every=2.5)),
+    "train_batch_size_float": (ConfigError, lambda: _train(iterations=2, batch_size=1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bad_arguments_raise_radsgd_errors(name):
+    error, call = CASES[name]
+    assert issubclass(error, RadsgdError)
+    with pytest.raises(error):
+        call()
+
+
+def test_train_takes_numpy_integers():
+    trace = _train(iterations=np.int64(4), batch_size=np.int32(3), checkpoint_every=np.uint8(2))
+    assert list(trace.iterations) == [2, 4]

@@ -537,11 +537,26 @@ def test_cli_one_node_edge_list_is_config_error(tmp_path, capsys, command):
         ("analyze", "topology = ring\nn = 4\ngrid_step = 1e-300\n", None),
         # numpy refuses an array of more than 2^63 bytes with a ValueError.
         ("analyze", "topology = ring\nn = 4\ngrid_step = 2e-19\n", None),
+        ("topology", "topology = ring\nn = 1100000000\n", None),
+        ("topology", "topology = complete\nn = 10000000000\n", None),
+        ("topology", "topology = erdos_renyi\nn = 1100000000\nedge_prob = 0.5\ngraph_seed = 0\n", None),
+        ("topology", "topology = edge_list\nedge_list = {edges}\n", "n 1100000000\n0 1\n"),
+        ("topology", "topology = edge_list\nedge_list = {edges}\n", "n 10000000000\n0 1\n"),
+        # Past 2^63 numpy refuses the dimension itself.
+        ("topology", "topology = ring\nn = 100000000000000000000\n", None),
+        ("train", "topology = ring\nn = 4\ntask = regression\np = 0.3\nsamples_per_node = 3000000000000000000\n", None),
+        ("train", "topology = ring\nn = 4\ntask = regression\np = 0.3\nsamples_per_node = 10000000000000000000\n", None),
+        ("train", "topology = ring\nn = 4\ntask = classification\np = 0.3\nsamples_per_node = 3000000000000000000\n", None),
     ],
-    ids=["ring_n", "edge_list_n", "samples_per_node", "grid_step", "grid_step_bytes"],
+    ids=[
+        "ring_n", "edge_list_n", "samples_per_node", "grid_step", "grid_step_bytes",
+        "ring_n_bytes", "complete_n_bytes", "erdos_renyi_n_bytes", "edge_list_n_bytes", "edge_list_n_bytes_10e9",
+        "ring_n_dimension", "samples_per_node_bytes", "samples_per_node_dimension", "classification_samples_bytes",
+    ],
 )
 def test_cli_oversized_inputs_are_runtime_errors(tmp_path, capsys, command, text, edges):
-    # The grid cases allocate nothing; in the others the first array asked for
+    # The grid cases and the *_bytes and *_dimension cases, whose arrays numpy
+    # cannot index, allocate nothing; in the others the first array asked for
     # is far above 2^47 bytes, so its allocation fails at once.
     if edges is not None:
         (tmp_path / "big.txt").write_text(edges)

@@ -6,7 +6,6 @@ import pytest
 from radsgd.errors import ConfigError, DimensionError, DivergenceError, DomainError
 from radsgd.learning import (
     LocalDataset,
-    TrainConfig,
     _draw_batch,
     classification_task,
     dsgd_step,
@@ -99,7 +98,7 @@ def test_classification_data_deterministic():
 def test_local_dataset_validation():
     with pytest.raises(DimensionError):
         LocalDataset(np.zeros((3, 2)), np.zeros(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         LocalDataset(np.full((2, 1), np.nan), np.zeros(2))
 
 
@@ -116,11 +115,11 @@ def test_local_dataset_stacked_validation():
     ):
         with pytest.raises(DimensionError):
             LocalDataset(features, labels)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         LocalDataset(np.zeros((4, 3, 2)), np.full((4, 3), np.inf))
     features = np.zeros((4, 3, 2))
     features[2, 1, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         LocalDataset(features, np.zeros((4, 3)))
 
 
@@ -248,9 +247,9 @@ def test_batch_sampling_is_without_replacement():
     g = ring(6)
     task, data, test = _regression_setup(6, seed=4)
     policy = AccessPolicy.uniform(6, 0.3)
-    full = train(g, policy, task, data, test, TrainConfig(iterations=20, seed=2))
+    full = train(g, policy, task, data, test, iterations=20, seed=2)
     for size in (20, 25):
-        trace = train(g, policy, task, data, test, TrainConfig(iterations=20, seed=2, batch_size=size))
+        trace = train(g, policy, task, data, test, iterations=20, seed=2, batch_size=size)
         assert np.array_equal(trace.avg_test_loss, full.avg_test_loss)
         assert np.array_equal(trace.consensus_distance, full.consensus_distance)
 
@@ -258,10 +257,10 @@ def test_batch_sampling_is_without_replacement():
 def test_train_deterministic_bitwise():
     g = ring(6)
     task, data, test = _regression_setup(6, seed=7)
-    config = TrainConfig(iterations=40, step_size=0.01, seed=21)
+    config = dict(iterations=40, step_size=0.01, seed=21)
     policy = AccessPolicy.uniform(6, 1 / 3)
-    a = train(g, policy, task, data, test, config)
-    b = train(g, policy, task, data, test, config)
+    a = train(g, policy, task, data, test, **config)
+    b = train(g, policy, task, data, test, **config)
     assert np.array_equal(a.avg_test_loss, b.avg_test_loss)
     assert np.array_equal(a.consensus_distance, b.consensus_distance)
     assert np.array_equal(a.iterations, b.iterations)
@@ -270,9 +269,8 @@ def test_train_deterministic_bitwise():
 def test_train_divergence_detection():
     g = ring(6)
     task, data, test = _regression_setup(6, seed=7)
-    config = TrainConfig(iterations=10, step_size=1e9, seed=0)
     with pytest.raises(DivergenceError):
-        train(g, AccessPolicy.uniform(6, 0.3), task, data, test, config)
+        train(g, AccessPolicy.uniform(6, 0.3), task, data, test, iterations=10, step_size=1e9, seed=0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -286,7 +284,7 @@ def test_train_divergence_detection_catches_non_finite_params(monkeypatch, value
     g = ring(6)
     task, data, test = _regression_setup(6, seed=7)
     with pytest.raises(DivergenceError, match="iteration 1 "):
-        train(g, AccessPolicy.uniform(6, 0.3), task, data, test, TrainConfig(iterations=3))
+        train(g, AccessPolicy.uniform(6, 0.3), task, data, test, iterations=3)
 
 
 def test_train_endpoint_probabilities_use_identity_mixing():
@@ -296,8 +294,7 @@ def test_train_endpoint_probabilities_use_identity_mixing():
     task, data, test = _regression_setup(6, seed=8)
     traces = []
     for p in (0.0, 1.0):
-        config = TrainConfig(iterations=30, step_size=0.01, seed=5)
-        traces.append(train(g, AccessPolicy.uniform(6, p), task, data, test, config))
+        traces.append(train(g, AccessPolicy.uniform(6, p), task, data, test, iterations=30, step_size=0.01, seed=5))
     assert np.array_equal(traces[0].avg_test_loss, traces[1].avg_test_loss)
     assert traces[0].consensus_distance[-1] > 0  # non-IID local optima drift apart
 
@@ -321,8 +318,7 @@ def test_train_mixing_beats_isolated_training():
     finals = {}
     consensus = {}
     for p in (0.0, 1 / 3):
-        config = TrainConfig(iterations=100, step_size=0.01, seed=3)
-        trace = train(g, AccessPolicy.uniform(6, p), task, data, test, config)
+        trace = train(g, AccessPolicy.uniform(6, p), task, data, test, iterations=100, step_size=0.01, seed=3)
         finals[p] = trace.avg_test_loss[-1]
         consensus[p] = trace.consensus_distance[-1]
     assert finals[1 / 3] < finals[0.0]
@@ -339,23 +335,19 @@ def test_train_mixing_beats_isolated_training():
 def test_train_rejects_bad_config(field, value):
     g = ring(6)
     task, data, test = _regression_setup(6, seed=9)
-    config = TrainConfig(iterations=12, seed=0, **{field: value})
     with pytest.raises(ConfigError, match=field):
-        train(g, AccessPolicy.uniform(6, 0.3), task, data, test, config)
+        train(g, AccessPolicy.uniform(6, 0.3), task, data, test, iterations=12, seed=0, **{field: value})
 
 
 def test_train_checkpoint_rules():
     g = ring(6)
     task, data, test = _regression_setup(6, seed=9)
     policy = AccessPolicy.uniform(6, 0.3)
-    one = train(g, policy, task, data, test, TrainConfig(iterations=1, seed=0))
+    one = train(g, policy, task, data, test, iterations=1, seed=0)
     assert list(one.iterations) == [1]
-    spaced = train(
-        g, policy, task, data, test,
-        TrainConfig(iterations=25, seed=0, checkpoint_every=10),
-    )
+    spaced = train(g, policy, task, data, test, iterations=25, seed=0, checkpoint_every=10)
     assert list(spaced.iterations) == [10, 20, 25]
-    auto = train(g, policy, task, data, test, TrainConfig(iterations=12, seed=0))
+    auto = train(g, policy, task, data, test, iterations=12, seed=0)
     assert list(auto.iterations) == list(range(1, 13))
 
 
@@ -363,13 +355,10 @@ def test_train_accuracy_reported_for_classification():
     g = ring(8)
     task = classification_task()
     data, test = generate_classification_data(8, 20, seed=3)
-    trace = train(
-        g, AccessPolicy.uniform(8, 0.3), task, data, test,
-        TrainConfig(iterations=5, seed=1),
-    )
+    trace = train(g, AccessPolicy.uniform(8, 0.3), task, data, test, iterations=5, seed=1)
     assert np.all((trace.accuracy >= 0) & (trace.accuracy <= 1))
     reg_trace = train(
         g, AccessPolicy.uniform(8, 0.3), regression_task(),
-        *_regression_setup(8, seed=2)[1:], TrainConfig(iterations=5, seed=1),
+        *_regression_setup(8, seed=2)[1:], iterations=5, seed=1,
     )
     assert np.all(np.isnan(reg_trace.accuracy))
