@@ -14,7 +14,7 @@ class DomainError(RadsgdError):
 
 
 class GraphError(RadsgdError):
-    """A graph violates a structural requirement (symmetry, connectivity, size)."""
+    """A graph violates a structural requirement (node ids, self-loops, connectivity, size)."""
 
 
 class GenerationError(GraphError):

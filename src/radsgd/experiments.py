@@ -489,12 +489,13 @@ def cmd_train(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
 def cmd_topology(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -> dict:
     """Materialize the configured graph: edge-list file plus a spectrum report."""
     g = build_graph(config)
+    lap = laplacian(g)  # GraphError before any output when it exceeds physical memory
     os.makedirs(out_dir, exist_ok=True)
     edges_path = os.path.join(out_dir, "edges.txt")
     with open(edges_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(to_edge_list(g))
     degrees = g.degrees
-    lap_spectrum = np.linalg.eigvalsh(laplacian(g))
+    lap_spectrum = np.linalg.eigvalsh(lap)
     connectivity = float(lap_spectrum[1])
     histogram = {int(d): int(count) for d, count in zip(*np.unique(degrees, return_counts=True))}
     report_lines = [

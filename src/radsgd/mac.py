@@ -97,10 +97,11 @@ def link_success_prob(g: Graph, policy: AccessPolicy, receiver: int, sender: int
     exponent is the receiver's degree, so the two directions of an edge
     generally have different success probabilities.
     """
-    if g.adjacency[receiver, sender] == 0:
+    nbrs = g.neighbors(receiver)
+    if sender not in nbrs:
         raise InvalidLinkError(f"({receiver}, {sender}) is not an edge")
     q = policy.probs
-    others = [k for k in g.neighbors(receiver) if k != sender]
+    others = nbrs[nbrs != sender]
     return float(q[sender] * (1.0 - q[receiver]) * np.prod(1.0 - q[others]))
 
 

@@ -1,12 +1,15 @@
 """Undirected connectivity graphs: construction, validation, matrix views.
 
 Every graph is connected, simple (no self-loops), and unweighted. Node ids
-are 0-indexed everywhere, including the edge-list text format.
+are 0-indexed everywhere, including the edge-list text format. A graph
+stores its sorted edge list; the dense n x n views are built only when
+read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -16,107 +19,199 @@ from .errors import EdgeListError, GenerationError, GraphError
 # Resample budget for conditioning random graphs on connectivity.
 MAX_GENERATION_ATTEMPTS = 1000
 
+# Uniforms drawn at once by erdos_renyi: a block of whole rows of the
+# n x n draw, at most this many values (and at least one row).
+_DRAW_BLOCK = 1 << 16
 
-def _is_connected(adjacency: np.ndarray) -> bool:
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        frontier = np.flatnonzero(adjacency[frontier].any(axis=0) & ~seen)
-        seen[frontier] = True
-    return bool(seen.all())
+# Bytes that building a Graph may allocate per edge, with a margin: its
+# sort keys, arcs and connectivity arrays peak at 121-153 bytes per edge
+# for rings and complete graphs, at 177 for erdos_renyi with its draws.
+_BYTES_PER_EDGE = 256
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of this machine.
+
+    Sizes past it fail before they are allocated: the system may grant
+    such an allocation and kill the process once it is touched.
+    """
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_fits(nbytes: int, what: str):
+    """GraphError when nbytes exceed physical memory."""
+    physical = physical_memory()
+    if nbytes > physical:
+        raise GraphError(
+            f"{what} takes {nbytes / 2 ** 30:.3g} GiB, "
+            f"more than the {physical / 2 ** 30:.3g} GiB of physical memory"
+        )
+
+
+def _check_edges_fit(n: int, edge_count: float):
+    """GraphError when building a graph of edge_count edges exceeds physical memory."""
+    _check_fits(int(edge_count) * _BYTES_PER_EDGE, f"building a graph of {n} nodes and {int(edge_count)} edges")
+
+
+def _square(n: int) -> tuple[int, int]:
+    """The shape (n, n), or GraphError when numpy cannot index the bytes of an n x n matrix.
+
+    Every Graph must pass it, so its dense views stay indexable; the
+    builders call it before they allocate anything of size n.
+    """
+    if int(n) ** 2 * 8 > np.iinfo(np.intp).max:
+        raise GraphError(f"n={n} gives an adjacency matrix larger than one array can hold")
+    return n, n
+
+
+def _dense_shape(n: int) -> tuple[int, int]:
+    """The shape (n, n), or GraphError when one n x n matrix of 8-byte entries exceeds physical memory."""
+    _check_fits(int(n) ** 2 * 8, f"one {n} x {n} matrix")
+    return _square(n)
+
+
+def _is_connected(n: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the edges (lo[k], hi[k]) join nodes 0..n-1 into one component.
+
+    Hooking with pointer jumping: every node points to a node of its
+    component with an id no larger than its own, and after each round
+    every pointer leads straight to its tree's root. In a round, each root
+    hooks onto the smallest root across its edges. A tree that neither
+    hooks nor is hooked onto is hooked the round after, so the number of
+    trees at least halves every two rounds: O(log n) rounds of O(n + |E|)
+    array work, where a search needs one round per level.
+    """
+    parent = np.arange(n)
+    while True:
+        pu, pv = parent[lo], parent[hi]
+        differ = pu != pv
+        if not differ.any():
+            return bool((parent == parent[0]).all())
+        pu, pv = pu[differ], pv[differ]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Connected undirected graph on nodes 0..n-1.
+    """Connected undirected graph on nodes 0..n-1, stored as its edge list.
 
-    The adjacency matrix is validated on construction (symmetric, 0/1
-    entries, zero diagonal, connected) and then frozen read-only, so
+    edges is an (E, 2) array of integer node ids. Pairs may come in either
+    order and may repeat; they are stored as u < v, sorted, without
+    duplicates. Construction checks ids and self-loops in O(n + |E|),
+    connectivity in O(log n) rounds of that, n against the largest matrix
+    one array can hold, so the dense views stay indexable, and its own
+    working memory against physical memory. The dense views check their n x n bytes against
+    physical memory when first read. Every array is read-only, so
     instances can be shared freely across threads.
+
+    arcs holds both directions of every edge as (heads, tails), sorted by
+    head, then tail; per-slot channel code works on these 2|E| arcs.
     """
 
     n: int
-    adjacency: np.ndarray
+    edges: np.ndarray
+    arcs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency)
-        if self.n < 1 or a.shape != (self.n, self.n):
-            raise GraphError(
-                f"adjacency shape {a.shape} does not match n={self.n}"
-            )
-        if not ((a == 0) | (a == 1)).all():
-            raise GraphError("adjacency entries must be 0 or 1")
-        a = a.astype(np.int64)
-        if not np.array_equal(a, a.T):
-            raise GraphError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
+        n = self.n
+        if n < 1:
+            raise GraphError(f"a graph needs n >= 1 nodes, got {n}")
+        _square(n)
+        e = np.asarray(self.edges)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise GraphError(f"edges must have shape (E, 2), got {e.shape}")
+        # Cheap necessary condition, tested before any O(n) allocation.
+        if e.shape[0] < n - 1:
+            raise GraphError(f"graph must be connected, but {e.shape[0]} edges cannot join {n} nodes")
+        _check_edges_fit(n, e.shape[0])
+        if e.dtype.kind not in "iuf":
+            raise GraphError(f"node ids must be integers, got dtype {e.dtype}")
+        with np.errstate(invalid="ignore"):
+            ids = e.astype(np.int64)
+        if not np.array_equal(ids, e):
+            raise GraphError("node ids must be integers")
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise GraphError(f"node id out of range 0..{n - 1}")
+        if np.any(ids[:, 0] == ids[:, 1]):
             raise GraphError("self-loops are not allowed")
-        if not _is_connected(a):
+        # Each edge as the key u * n + v with u < v; n * n fits by _square.
+        lo, hi = ids.min(axis=1), ids.max(axis=1)
+        keys = np.sort(lo * n + hi)
+        first = np.ones(keys.shape, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        lo, hi = keys // n, keys % n
+        if not _is_connected(n, lo, hi):
             raise GraphError("graph must be connected")
-        a.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        """Per-node degree vector (row sums of the adjacency), computed once and read-only."""
-        d = self.adjacency.sum(axis=1)
-        d.setflags(write=False)
-        return d
-
-    @cached_property
-    def laplacian(self) -> np.ndarray:
-        """Graph Laplacian D - A as floats, computed once and read-only (see laplacian(g))."""
-        lap = np.diag(self.degrees).astype(float) - self.adjacency.astype(float)
-        lap.setflags(write=False)
-        return lap
+        edges = np.stack((lo, hi), axis=1)
+        # Both directions of every edge, sorted by (head, tail).
+        arc_keys = np.sort(np.concatenate((keys, hi * n + lo)))
+        heads, tails = arc_keys // n, arc_keys % n
+        degrees = np.bincount(heads, minlength=n)
+        offsets = np.concatenate(([0], np.cumsum(degrees)))
+        for array in (edges, heads, tails, degrees, offsets):
+            array.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "arcs", (heads, tails))
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
-    @cached_property
-    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both directions of every edge as (heads, tails), sorted by head.
-
-        Computed once per graph; per-slot channel code works on these 2|E|
-        arcs instead of the n x n adjacency.
-        """
-        heads, tails = np.nonzero(self.adjacency)
-        heads.setflags(write=False)
-        tails.setflags(write=False)
-        return heads, tails
+        return self.edges.shape[0]
 
     def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbor ids of node i."""
-        return np.flatnonzero(self.adjacency[i])
+        """Sorted neighbor ids of node i (a read-only view); IndexError unless 0 <= i < n."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"node {i} out of range 0..{self.n - 1}")
+        return self.arcs[1][self._offsets[i]:self._offsets[i + 1]]
 
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Dense 0/1 adjacency matrix, built on first access and read-only.
 
-def _square(n: int) -> tuple[int, int]:
-    """The shape (n, n), or GraphError when numpy cannot index the bytes of an n x n matrix."""
-    if int(n) ** 2 * 8 > np.iinfo(np.intp).max:
-        raise GraphError(f"n={n} gives an adjacency matrix larger than one array can hold")
-    return n, n
+        Float64, the dtype its readers compute with, so reading it as
+        floats copies nothing.
+        """
+        a = np.zeros(_dense_shape(self.n))
+        a[self.arcs] = 1.0
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """Graph Laplacian D - A as floats, built on first access and read-only (see laplacian(g))."""
+        lap = np.zeros(_dense_shape(self.n))
+        lap[self.arcs] = -1.0
+        lap[np.diag_indices(self.n)] = self.degrees
+        lap.setflags(write=False)
+        return lap
 
 
 def ring(n: int) -> Graph:
     """Cycle graph: node i adjacent to (i - 1) mod n and (i + 1) mod n."""
     if n < 3:
         raise GraphError(f"ring requires n >= 3, got {n}")
-    a = np.zeros(_square(n), dtype=np.int64)
-    idx = np.arange(n)
-    a[idx, (idx + 1) % n] = 1
-    a[(idx + 1) % n, idx] = 1
-    return Graph(n, a)
+    _square(n)
+    _check_edges_fit(n, n)
+    u = np.arange(n)
+    return Graph(n, np.stack((u, (u + 1) % n), axis=1))
 
 
 def complete(n: int) -> Graph:
     """Complete graph: every pair of distinct nodes is an edge."""
     if n < 2:
         raise GraphError(f"complete graph requires n >= 2, got {n}")
-    a = np.ones(_square(n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    return Graph(n, a)
+    _square(n)
+    _check_edges_fit(n, n * (n - 1) // 2)
+    return Graph(n, np.stack(np.triu_indices(n, k=1), axis=1))
 
 
 def erdos_renyi(n: int, edge_prob: float, seed: int) -> Graph:
@@ -125,7 +220,12 @@ def erdos_renyi(n: int, edge_prob: float, seed: int) -> Graph:
     Each unordered pair is an edge independently with probability
     edge_prob; the whole graph is resampled until connected, which keeps
     the conditional distribution exact. Deterministic for fixed
-    (n, edge_prob, seed).
+    (n, edge_prob, seed): an attempt reads the n x n uniforms of
+    rng.random((n, n)) in row order, pair (i, j), i < j, from entry
+    (i, j), but holds only a block of rows at a time. Raises GraphError
+    when the expected edges would exceed physical memory, or the n x n
+    uniforms of one attempt would if held at once: an attempt that large
+    takes minutes to days.
     """
     if n < 2:
         raise GraphError(f"erdos_renyi requires n >= 2, got {n}")
@@ -133,12 +233,25 @@ def erdos_renyi(n: int, edge_prob: float, seed: int) -> Graph:
         raise GraphError(f"edge_prob must lie in (0, 1], got {edge_prob}")
     if seed < 0:
         raise GraphError(f"seed must be nonnegative, got {seed}")
+    _square(n)
+    _check_fits(int(n) ** 2 * 8, f"drawing the {n} x {n} uniforms of one attempt")
+    _check_edges_fit(n, edge_prob * n * (n - 1) / 2)
+    rows = max(1, _DRAW_BLOCK // n)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_GENERATION_ATTEMPTS):
-        upper = np.triu(rng.random(_square(n)) < edge_prob, k=1)
-        a = (upper | upper.T).astype(np.int64)
-        if _is_connected(a):
-            return Graph(n, a)
+        pairs = []
+        for start in range(0, n, rows):
+            block = rng.random((min(rows, n - start), n)) < edge_prob
+            u, v = np.nonzero(block)
+            u += start
+            upper = u < v
+            pairs.append(np.stack((u[upper], v[upper]), axis=1))
+        edges = np.concatenate(pairs)
+        _check_edges_fit(n, edges.shape[0])
+        try:
+            return Graph(n, edges)
+        except GraphError:  # the only check left that random pairs can fail: connectivity
+            pass
     raise GenerationError(
         f"no connected graph after {MAX_GENERATION_ATTEMPTS} attempts "
         f"(n={n}, edge_prob={edge_prob}); connectivity typically requires "
@@ -154,7 +267,7 @@ def from_edge_list(text: str) -> Graph:
     Duplicate edges are idempotent. Node ids are 0-indexed.
     """
     n = None
-    adjacency = None
+    pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -171,7 +284,6 @@ def from_edge_list(text: str) -> Graph:
                 raise EdgeListError(f"node count {fields[1]!r} is not an integer", lineno)
             if n < 1:
                 raise EdgeListError(f"node count must be positive, got {n}", lineno)
-            adjacency = np.zeros(_square(n), dtype=np.int64)
             continue
         if len(fields) != 2:
             raise EdgeListError(f"expected '<u> <v>', got {line!r}", lineno)
@@ -183,20 +295,15 @@ def from_edge_list(text: str) -> Graph:
             raise EdgeListError(f"node id out of range 0..{n - 1}: {line!r}", lineno)
         if u == v:
             raise EdgeListError(f"self-loop {u} {v} is not allowed", lineno)
-        adjacency[u, v] = 1
-        adjacency[v, u] = 1
+        pairs.append((u, v))
     if n is None:
         raise EdgeListError("document contains no 'n <count>' header")
-    return Graph(n, adjacency)
+    return Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def to_edge_list(g: Graph) -> str:
     """Serialize a graph to the canonical edge-list text (sorted edges)."""
-    lines = [f"n {g.n}"]
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            if u < v:
-                lines.append(f"{u} {v}")
+    lines = [f"n {g.n}"] + [f"{u} {v}" for u, v in g.edges.tolist()]
     return "\n".join(lines) + "\n"
 
 

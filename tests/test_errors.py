@@ -47,6 +47,8 @@ CASES = {
     "train_iterations_str": (ConfigError, lambda: _train(iterations="3")),
     "train_checkpoint_every_float": (ConfigError, lambda: _train(iterations=5, checkpoint_every=2.5)),
     "train_batch_size_float": (ConfigError, lambda: _train(iterations=2, batch_size=1.5)),
+    "train_batch_size_zero": (ConfigError, lambda: _train(iterations=2, batch_size=0)),
+    "train_batch_size_negative": (ConfigError, lambda: _train(iterations=2, batch_size=-3)),
 }
 
 

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import radsgd.experiments
+import radsgd.learning
+import radsgd.topology
 from radsgd.cli import main
 from radsgd.errors import ConfigError
 from radsgd.experiments import (
@@ -565,6 +567,56 @@ def test_cli_oversized_inputs_are_runtime_errors(tmp_path, capsys, command, text
     assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+
+
+HUGE_GRAPHS = {
+    "ring": "topology = ring\nn = 1000000000\n",
+    "erdos_renyi": "topology = erdos_renyi\nn = 10000000\nedge_prob = 0.5\ngraph_seed = 0\n",
+    "complete": "topology = complete\nn = 1000000\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, graph",
+    [("train", "ring"), ("sweep", "ring"), ("train", "erdos_renyi"), ("sweep", "erdos_renyi"),
+     ("sweep", "complete"), ("analyze", "erdos_renyi")],
+    ids=lambda value: value,
+)
+def test_cli_graphs_past_physical_memory_fail_in_every_command(tmp_path, capsys, command, graph):
+    # Each graph would need far more than physical memory (or, for
+    # erdos_renyi, days of draws); it fails before anything is allocated.
+    config = _write_config(tmp_path / "t.cfg", HUGE_GRAPHS[graph] + "task = regression\np = 0.3\n")
+    capsys.readouterr()
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "physical memory" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "topology", "train", "sweep"])
+@pytest.mark.parametrize("topology", ["ring", "edge_list"])
+def test_cli_only_dense_commands_need_an_n_by_n_matrix(monkeypatch, tmp_path, capsys, command, topology):
+    # With 2 MiB of physical memory the 2.88 MB Laplacian of a 600-node
+    # graph does not fit, but the graph itself (about 150 KB) and one
+    # sample per node (about 2 MB to generate and train on) do: analyze
+    # and topology fail before writing anything, train and sweep run.
+    for module in (radsgd.topology, radsgd.learning):
+        monkeypatch.setattr(module, "physical_memory", lambda: 2 << 20)
+    edges = tmp_path / "path.txt"
+    edges.write_text("n 600\n" + "".join(f"{i} {i + 1}\n" for i in range(599)))
+    config = _write_config(
+        tmp_path / "t.cfg",
+        f"topology = {topology}\nn = 600\nedge_list = {edges}\n"
+        "task = regression\np = 0.3\niterations = 2\nsamples_per_node = 1\n",
+    )
+    capsys.readouterr()
+    status = main([command, "--config", config, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if command in ("analyze", "topology"):
+        assert status == 2 and "physical memory" in err and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert status == 0, err
 
 
 def test_edge_list_path_may_contain_hash(tmp_path):

@@ -1,8 +1,11 @@
 """Task, dataset, and training-loop tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import radsgd.learning
 from radsgd.errors import ConfigError, DimensionError, DivergenceError, DomainError
 from radsgd.learning import (
     LocalDataset,
@@ -17,7 +20,7 @@ from radsgd.learning import (
 )
 from radsgd.mac import AccessPolicy
 from radsgd.mixing import base_weight_matrix
-from radsgd.topology import complete, ring
+from radsgd.topology import complete, erdos_renyi, ring
 
 
 def _finite_difference(task, params, features, labels, step=1e-6):
@@ -264,6 +267,35 @@ def test_train_deterministic_bitwise():
     assert np.array_equal(a.avg_test_loss, b.avg_test_loss)
     assert np.array_equal(a.consensus_distance, b.consensus_distance)
     assert np.array_equal(a.iterations, b.iterations)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [lambda: generate_regression_data(400, 100, seed=0), lambda: generate_classification_data(100, 20, seed=0)],
+    ids=["regression", "classification"],
+)
+def test_generators_check_physical_memory(monkeypatch, generate):
+    # 400 * 200 samples at 32 bytes and 100 * 120 at 160 bytes: about 2 MB each.
+    monkeypatch.setattr(radsgd.learning, "physical_memory", lambda: 1 << 20)
+    with pytest.raises(DimensionError, match="physical memory"):
+        generate()
+    monkeypatch.setattr(radsgd.learning, "physical_memory", lambda: 4 << 20)
+    generate()
+
+
+def test_graph_and_training_allocate_no_n_by_n_array():
+    # An n x n int64 matrix at n = 4000 takes 128 MB; tracemalloc sees
+    # numpy's buffers, so any such array would show in the peak.
+    n = 4000
+    data, test = generate_regression_data(n, 4, seed=0, test_per_node=1)
+    tracemalloc.start()
+    try:
+        g = erdos_renyi(n, 0.003, seed=0)
+        train(g, AccessPolicy.uniform(n, 0.1), regression_task(), data, test, iterations=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 10, peak
 
 
 def test_train_divergence_detection():

@@ -238,14 +238,11 @@ def test_consensus_rate_one_node_is_zero():
 def connected_graphs(draw):
     """A random spanning tree on up to 14 nodes plus random extra edges."""
     n = draw(st.integers(2, 14))
-    a = np.zeros((n, n), dtype=np.int64)
-    for k in range(1, n):
-        j = draw(st.integers(0, k - 1))
-        a[k, j] = a[j, k] = 1
+    pairs = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
     for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)):
         if i != j:
-            a[i, j] = a[j, i] = 1
-    return Graph(n, a)
+            pairs.append((i, j))
+    return Graph(n, np.array(pairs))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
