@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError
-from .mac import AccessPolicy, decoding_links, sample_broadcast
+from .mac import AccessPolicy, link_decoder, sample_broadcast
 from .mixing import check_epsilon, default_epsilon, mix_slot
 
 # The dense per-slot chain that mix_slot replaces in train. perfbench wraps
@@ -342,10 +342,20 @@ def local_gradient(gradient: Callable[[np.ndarray], np.ndarray], params: np.ndar
 
 
 def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int, rng: np.random.Generator):
-    """Per-node minibatches of batch_size < m samples without replacement, drawn in node order."""
+    """Per-node minibatches of batch_size < m samples without replacement.
+
+    A partial Fisher-Yates shuffle of all nodes' indices 0..m-1 at once:
+    step k swaps every node's position k with one drawn uniformly from
+    k..m-1, and one rng.integers call draws all n * batch_size positions.
+    """
     n, m = labels.shape
-    idx = np.stack([rng.choice(m, size=batch_size, replace=False) for _ in range(n)])
-    rows = np.arange(n)[:, np.newaxis]
+    picks = rng.integers(np.arange(batch_size), m, size=(n, batch_size))
+    idx = np.tile(np.arange(m), (n, 1))
+    rows = np.arange(n)
+    for k in range(batch_size):
+        j = picks[:, k]
+        idx[rows, k], idx[rows, j] = idx[rows, j], idx[rows, k]
+    rows, idx = rows[:, np.newaxis], idx[:, :batch_size]
     return features[rows, idx], labels[rows, idx]
 
 
@@ -411,7 +421,8 @@ def train(
     """Run D-SGD with random access and broadcast transmission.
 
     Per iteration: sample broadcast decisions, find the receivers that
-    decode a packet and their senders, and apply one adapt-then-combine
+    decode a packet and their senders (with mac.link_decoder, bound to g
+    once per run), and apply one adapt-then-combine
     step in which only those receivers' rows mix (see mixing.mix_slot).
     All nodes start from the zero vector. data stacks the nodes' local
     samples, (n, m, f) / (n, m), so one gradient call per slot serves every
@@ -448,6 +459,7 @@ def train(
         raise DimensionError(f"test labels {test.labels.shape} are not one (T,) set")
     epsilon = default_epsilon(g) if epsilon is None else check_epsilon(g, epsilon)
     evaluate = task.evaluator(test.features, test.labels)
+    decode = link_decoder(g)
     rng = np.random.default_rng(seed)
     if batch_size is None or batch_size >= data.size:
         gradient = task.gradient(data.features, data.labels)
@@ -460,7 +472,7 @@ def train(
         every = 1 if iterations <= 1000 else 10
     checkpoints, losses, accs, consensus = [], [], [], []
     for t in range(1, iterations + 1):
-        receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
+        receivers, senders = decode(sample_broadcast(policy, rng))
         with np.errstate(over="ignore", invalid="ignore"):
             params = dsgd_step(
                 params, step_size, lambda z: mix_slot(z, receivers, senders, epsilon), gradient

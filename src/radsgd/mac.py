@@ -11,6 +11,7 @@ probability that maximizes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,24 +54,63 @@ def sample_broadcast(policy: AccessPolicy, rng: np.random.Generator) -> np.ndarr
     return (rng.random(policy.n) < policy.probs).astype(np.int64)
 
 
+def link_decoder(g: Graph) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """decoding_links bound to g: a function that maps a broadcast vector b to (receivers, senders).
+
+    Node i's closed neighbourhood is laid out as one segment: an arc to
+    each neighbour j, coded n + j, then an arc to itself, coded 2n. The
+    codes of the arcs whose end broadcasts sum to a value in [n, 2n)
+    exactly when i is silent and one neighbour j broadcasts, and the value
+    is then n + j; silence everywhere sums to 0, and a broadcast by i or
+    by two neighbours to at least 2n. So a slot costs one gather of
+    b != 0 and one segmented sum over the 2|E| + n arcs.
+
+    An unchecked per-slot internal: the bound function checks only the
+    shape of b (DimensionError, as decoding_links does), and any entry
+    other than 0 counts as a broadcast.
+    """
+    n = g.n
+    heads, tails = g.arcs
+    nodes = np.arange(n)
+    # Segment i holds degree + 1 arcs and ends at cumsum(degrees)[i] + i:
+    # arc k of head h (heads ascending) moves to k + h, and node i's own
+    # arc is the last of its segment.
+    own = np.cumsum(g.degrees) + nodes
+    starts = own - g.degrees
+    moved = np.arange(heads.size) + heads
+    sources = np.empty(heads.size + n, dtype=np.intp)  # the node each arc listens to
+    sources[moved] = tails
+    sources[own] = nodes
+    codes = np.empty(heads.size + n, dtype=np.int64)
+    codes[moved] = n + tails
+    codes[own] = 2 * n
+
+    def decode(b) -> tuple[np.ndarray, np.ndarray]:
+        bits = np.asarray(b)
+        if bits.shape != (n,):
+            raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={n}")
+        # astype(bool) is b != 0, in one pass without a scalar operand.
+        value = np.add.reduceat(bits.astype(bool)[sources] * codes, starts)
+        value -= n
+        # Negative values wrap to above 2**63 as unsigned, so one compare
+        # keeps exactly the values in [0, n).
+        receivers = (value.view(np.uint64) < n).nonzero()[0]
+        return receivers, value[receivers]
+
+    return decode
+
+
 def decoding_links(g: Graph, b) -> tuple[np.ndarray, np.ndarray]:
     """Receivers that decode a packet in a slot with broadcast vector b, and their senders.
 
     Receiver i decodes iff it is silent and exactly one of its neighbors
-    broadcasts; that neighbor is its sender. Returns (receivers, senders),
-    with receivers ascending. Costs O(|E|), not O(n^2).
+    broadcasts; that neighbor is its sender. Returns int64 (receivers,
+    senders), with receivers ascending. The one-shot form of
+    link_decoder(g)(b): it binds in O(n + |E|), then decodes with one
+    gather and one segmented sum over the 2|E| + n arcs of the closed
+    neighbourhoods, not O(n^2).
     """
-    bits = np.asarray(b)
-    if bits.shape != (g.n,):
-        raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={g.n}")
-    heads, tails = g.arcs
-    heard = bits[tails] != 0  # arcs whose tail broadcasts
-    loads = np.bincount(heads[heard], minlength=g.n)  # broadcasting neighbors per receiver
-    decodes = (bits == 0) & (loads == 1)
-    # A decoding receiver hears exactly one arc, so these are unique and
-    # come out sorted by receiver.
-    keep = heard & decodes[heads]
-    return heads[keep], tails[keep]
+    return link_decoder(g)(b)
 
 
 def transmission_matrix(g: Graph, b) -> np.ndarray:

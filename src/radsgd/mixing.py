@@ -98,6 +98,10 @@ def mix_slot(z: np.ndarray, receivers: np.ndarray, senders: np.ndarray, epsilon:
     on the diagonal and eps at the one decoded sender, or the identity row
     for a node that decoded nothing, so only the receivers' rows change.
     Costs O(n * dim) instead of the dense product's O(n^2 * dim).
+
+    An unchecked per-slot internal: receivers and senders are expected to
+    come from decoding a broadcast vector on the graph that z stacks, and
+    an out-of-range index raises numpy's IndexError.
     """
     out = z.copy()
     out[receivers] = (1.0 - epsilon) * z[receivers] + epsilon * z[senders]

@@ -14,9 +14,9 @@ from radsgd.learning import (
     regression_task,
     train,
 )
-from radsgd.mac import AccessPolicy, decoding_links, sample_broadcast, transmission_matrix
+from radsgd.mac import AccessPolicy, decoding_links, link_decoder, sample_broadcast, transmission_matrix
 from radsgd.mixing import base_weight_matrix, compensate, default_epsilon, mask_by_transmission, mix_slot
-from radsgd.topology import erdos_renyi, ring
+from radsgd.topology import Graph, complete, erdos_renyi, ring
 
 TASKS = {
     "regression": (regression_task(), 0),
@@ -130,7 +130,8 @@ def test_minibatch_run_draws_the_per_call_batches(name):
     trace = train(g, policy, task, data, test, iterations=iterations, step_size=step_size, batch_size=5,
                   seed=seed, checkpoint_every=1)
     # The loop train ran before the gradient was bound: the channel first,
-    # then one batch per node in node order from the same stream.
+    # then the batches from the same stream, one swap position per node and
+    # step of a partial Fisher-Yates shuffle, shuffled here node by node.
     rng = np.random.default_rng(seed)
     epsilon = default_epsilon(g)
     evaluate = task.evaluator(test.features, test.labels)
@@ -138,7 +139,13 @@ def test_minibatch_run_draws_the_per_call_batches(name):
     rows = np.arange(g.n)[:, np.newaxis]
     for t in range(iterations):
         receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
-        idx = np.stack([rng.choice(12, size=5, replace=False) for _ in range(g.n)])
+        picks = rng.integers(np.arange(5), 12, size=(g.n, 5))
+        idx = np.empty((g.n, 5), dtype=np.int64)
+        for i in range(g.n):
+            order = list(range(12))
+            for k, j in enumerate(picks[i]):
+                order[k], order[j] = order[j], order[k]
+            idx[i] = order[:5]
         grad = _per_call_gradient(name, params, data.features[rows, idx], data.labels[rows, idx])
         params = mix_slot(params - step_size * grad, receivers, senders, epsilon)
         loss, acc = evaluate(params)
@@ -181,18 +188,55 @@ def test_sparse_slot_update_equals_dense_chain(graph, p):
         assert np.abs(mix_slot(z, receivers, senders, epsilon) - dense).max() <= 1e-15
 
 
-def test_decoding_links_follow_the_collision_rule():
-    g = erdos_renyi(30, 0.2, seed=5)
-    policy = AccessPolicy.uniform(g.n, 0.2)
+def _collision_rule(g, b):
+    """Receivers and senders by the rule itself, one node at a time."""
+    receivers, senders = [], []
+    for i in range(g.n):
+        loud = [j for j in g.neighbors(i) if b[j] != 0]
+        if b[i] == 0 and len(loud) == 1:
+            receivers.append(i)
+            senders.append(loud[0])
+    return receivers, senders
+
+
+DECODER_GRAPHS = {
+    "one_node": Graph(1, np.zeros((0, 2), dtype=np.int64)),
+    "star": Graph(6, [(0, j) for j in range(1, 6)]),
+    "ring3": ring(3),
+    "complete7": complete(7),
+    "er40": erdos_renyi(40, 0.15, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODER_GRAPHS))
+def test_decoding_links_follow_the_collision_rule(name):
+    g = DECODER_GRAPHS[name]
+    decode = link_decoder(g)
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        b = sample_broadcast(policy, rng)
-        loads = g.adjacency @ b
-        decodes = np.flatnonzero((b == 0) & (loads == 1))
-        receivers, senders = decoding_links(g, b)
-        assert np.array_equal(receivers, decodes)
-        assert np.all(g.adjacency[receivers, senders] == 1)
-        assert np.all(b[senders] == 1)
+    vectors = [np.zeros(g.n, dtype=np.int64), np.ones(g.n, dtype=np.int64)]
+    for p in (0.1, 0.3, 0.6):
+        vectors += [sample_broadcast(AccessPolicy.uniform(g.n, p), rng) for _ in range(50)]
+    # Any nonzero entry is a broadcast: 2, -1 and True count as 1.
+    for b in vectors[2:12]:
+        vectors.append(np.where(b != 0, rng.choice([2, -1, 1], size=g.n), 0))
+        vectors.append(b != 0)
+    for b in vectors:
+        want_receivers, want_senders = _collision_rule(g, b)
+        for receivers, senders in (decoding_links(g, b), decode(b)):
+            assert receivers.dtype == np.int64 and senders.dtype == np.int64
+            assert receivers.tolist() == want_receivers
+            assert senders.tolist() == want_senders
+            assert np.all(np.diff(receivers) > 0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (5,), (7,), (6, 1), ()])
+def test_decoders_reject_a_wrongly_shaped_broadcast_vector(shape):
+    g = DECODER_GRAPHS["star"]
+    b = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(DimensionError, match="does not match n=6"):
+        decoding_links(g, b)
+    with pytest.raises(DimensionError, match="does not match n=6"):
+        link_decoder(g)(b)
 
 
 def test_train_rejects_data_not_stacked_over_the_graph():

@@ -13,7 +13,9 @@ files, both optima of the two shipped analyze configs and the algebraic
 connectivity of configs/topology_er.cfg were recorded before the consensus
 rate moved from the general eigensolver to the symmetric reduction. Both
 changes reorder floating-point sums, so a change may move the last bits
-but nothing more. Rerecord with
+but nothing more. The train_classification_batch8 entries were recorded
+again, alone, when the minibatch draw became one partial Fisher-Yates
+shuffle of all nodes, which reads a different random stream. Rerecord with
 
     PYTHONPATH=src python tests/test_golden.py
 

@@ -257,6 +257,23 @@ def test_batch_sampling_is_without_replacement():
         assert np.array_equal(trace.consensus_distance, full.consensus_distance)
 
 
+@pytest.mark.parametrize("size", [1, 4, 9])
+def test_batch_draws_every_index_equally_often(size):
+    # Each of the m indices is in a node's batch with probability size / m;
+    # over `draws` slots its count is binomial, so its frequency lies within
+    # 4 standard errors of size / m at every node.
+    n, m, draws = 5, 10, 2000
+    data = LocalDataset(np.zeros((n, m, 0)), np.tile(np.arange(m, dtype=float), (n, 1)))
+    rng = np.random.default_rng(7)
+    counts = np.zeros((n, m))
+    for _ in range(draws):
+        _, batch = _draw_batch(data.features, data.labels, size, rng)
+        np.add.at(counts, (np.arange(n)[:, np.newaxis], batch.astype(int)), 1)
+    p = size / m
+    se = np.sqrt(p * (1 - p) / draws)
+    assert np.abs(counts / draws - p).max() <= 4 * se
+
+
 def test_train_deterministic_bitwise():
     g = ring(6)
     task, data, test = _regression_setup(6, seed=7)
