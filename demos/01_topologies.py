@@ -8,7 +8,7 @@ usual one-number summary of how well a topology supports averaging.
 
 import numpy as np
 
-from radsgd.topology import complete, erdos_renyi, laplacian, ring, to_edge_list
+from radsgd.topology import complete, erdos_renyi, ring, to_edge_list
 
 graphs = {
     "ring(8)": ring(8),
@@ -17,7 +17,7 @@ graphs = {
 }
 
 for name, g in graphs.items():
-    spectrum = np.linalg.eigvalsh(laplacian(g))
+    spectrum = np.linalg.eigvalsh(g.laplacian)
     print(f"--- {name}")
     print(f"    nodes={g.n} edges={g.edge_count} degrees={list(g.degrees)}")
     print(f"    laplacian spectrum: {np.round(spectrum, 4) + 0.0}")  # + 0.0 turns -0.0 into 0.0

@@ -61,7 +61,6 @@ from .topology import (
     complete,
     erdos_renyi,
     from_edge_list,
-    laplacian,
     ring,
     to_edge_list,
 )

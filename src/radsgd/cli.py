@@ -10,7 +10,6 @@ errors while writing results, arrays too large to allocate).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .errors import ConfigError, EdgeListError, RadsgdError
@@ -42,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="path to a key=value config file")
         sub.add_argument("--out", default=None, help="output directory (default: config's out, else .)")
         sub.add_argument("--parallel", type=int, default=1, help="worker processes")
-        sub.add_argument("--seed", type=int, default=None, help="override the config's master seed")
     return parser
 
 
@@ -57,11 +55,7 @@ def main(argv=None) -> int:
     try:
         if args.parallel < 1:
             raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         config = parse_config(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
         out_dir = args.out or config.out or "."
         command = _COMMANDS[args.command][0]
         command(config, out_dir=out_dir, parallel=args.parallel)

@@ -33,7 +33,7 @@ from .learning import (
 )
 from .mac import AccessPolicy, expected_throughput, optimal_access_probability
 from .mixing import check_epsilon, consensus_rate_scan, default_epsilon, refine_spectral_minimum
-from .topology import complete, erdos_renyi, from_edge_list, laplacian, ring, to_edge_list
+from .topology import complete, erdos_renyi, from_edge_list, ring, to_edge_list
 
 # Distinguishes the dataset stream from per-run streams under one master seed.
 DATA_STREAM_TAG = 0xDA7A
@@ -66,9 +66,6 @@ class ExperimentConfig:
     replicates: int = 3
     seed: int = 0
     samples_per_node: int = 100
-    sigma: float = 0.5
-    noise_cov: float = 0.05
-    classifier_bias: bool = True
     checkpoint_every: int | None = dataclasses.field(default=None, metadata={"auto": True})
     grid_step: float = 0.001
     out: str | None = None
@@ -199,19 +196,18 @@ def _validate(config: ExperimentConfig):
         raise ConfigError(f"iterations must be >= 1, got {config.iterations}")
     if config.batch_size is not None and config.batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {config.batch_size}")
-    for p in config.probabilities:
+    for k, p in enumerate(config.probabilities):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"p values must lie in [0, 1], got {p}")
+        # -0.0 == 0.0, so -0.0 repeats 0.0, whose run seeds it shares.
+        if p in config.probabilities[:k]:
+            raise ConfigError(f"p values must differ, but {p} repeats an earlier one")
     if config.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {config.replicates}")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     if config.samples_per_node < 1:
         raise ConfigError(f"samples_per_node must be >= 1, got {config.samples_per_node}")
-    if config.sigma < 0.0:
-        raise ConfigError(f"sigma must be nonnegative, got {config.sigma}")
-    if config.noise_cov < 0.0:
-        raise ConfigError(f"noise_cov must be nonnegative, got {config.noise_cov}")
     if config.checkpoint_every is not None and config.checkpoint_every < 1:
         raise ConfigError(f"checkpoint_every must be >= 1, got {config.checkpoint_every}")
     if not 0.0 < config.grid_step <= 0.5:
@@ -237,19 +233,15 @@ def _build_task(config: ExperimentConfig):
         raise ConfigError("task is required for this command (regression or classification)")
     if config.task == "regression":
         return regression_task()
-    return classification_task(bias=config.classifier_bias)
+    return classification_task()
 
 
 def build_datasets(config: ExperimentConfig, n: int):
     """The stacked node data plus the shared test set, from the dedicated data stream."""
     data_seed = np.random.SeedSequence([config.seed, DATA_STREAM_TAG])
     if config.task == "regression":
-        return generate_regression_data(
-            n, config.samples_per_node, data_seed, sigma=config.sigma
-        )
-    return generate_classification_data(
-        n, config.samples_per_node, data_seed, noise_cov=config.noise_cov
-    )
+        return generate_regression_data(n, config.samples_per_node, data_seed)
+    return generate_classification_data(n, config.samples_per_node, data_seed)
 
 
 def run_seed(master: int, p: float, replicate: int) -> np.random.SeedSequence:
@@ -489,7 +481,7 @@ def cmd_train(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
 def cmd_topology(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -> dict:
     """Materialize the configured graph: edge-list file plus a spectrum report."""
     g = build_graph(config)
-    lap = laplacian(g)  # GraphError before any output when it exceeds physical memory
+    lap = g.laplacian  # GraphError before any output when it exceeds physical memory
     os.makedirs(out_dir, exist_ok=True)
     edges_path = os.path.join(out_dir, "edges.txt")
     with open(edges_path, "w", encoding="utf-8", newline="") as handle:

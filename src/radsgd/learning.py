@@ -40,9 +40,11 @@ DIVERGENCE_LIMIT = 1e9
 # sets how many nodes share one (k, N_CLASSES, T) product.
 EVAL_BLOCK_BYTES = 1 << 17
 # The two data setups: N_CLASSES clusters in FEATURE_DIM dimensions, centres
-# drawn from (CENTER_LOW, CENTER_HIGH); regression biases from (BIAS_LOW, BIAS_HIGH).
+# drawn from (CENTER_LOW, CENTER_HIGH), samples spread by N(0, CLUSTER_COV * I);
+# regression biases from (BIAS_LOW, BIAS_HIGH), labels by N(0, REGRESSION_NOISE^2).
 N_CLASSES, FEATURE_DIM, CENTER_LOW, CENTER_HIGH = 4, 2, -1.0, 1.0
 BIAS_LOW, BIAS_HIGH = -1.0, 5.0
+REGRESSION_NOISE, CLUSTER_COV = 0.5, 0.05
 # Bytes per sample, train and test, that generating a dataset and training
 # on it allocate at peak, with a margin: measured up to 23 for regression
 # and 141 for classification, whose evaluator holds logits of the test set.
@@ -157,27 +159,25 @@ def regression_task() -> TaskSpec:
     return TaskSpec(dim=1, loss=loss, gradient=gradient, evaluator=evaluator)
 
 
-def classification_task(bias: bool = True) -> TaskSpec:
+def classification_task() -> TaskSpec:
     """Linear softmax classifier with cross-entropy loss.
 
-    Parameters are a (FEATURE_DIM + 1) x N_CLASSES matrix flattened row-major
-    when bias is enabled (the last row is the per-class bias), FEATURE_DIM x
-    N_CLASSES without. Cluster centers drawn near the origin are generally
-    not separable by hyperplanes through the origin, hence the bias default.
+    Parameters are a (FEATURE_DIM + 1) x N_CLASSES matrix flattened
+    row-major; the last row is the per-class bias, since cluster centers
+    drawn near the origin are generally not separable by hyperplanes
+    through the origin.
 
     Internally the class scores are laid out (..., N_CLASSES, m), class axis
     ahead of the sample axis: the softmax reductions then run over an outer
     axis, which numpy does far faster than over a short innermost one.
     """
-    rows = FEATURE_DIM + (1 if bias else 0)
+    rows = FEATURE_DIM + 1
     classes = np.arange(N_CLASSES)[:, np.newaxis]
 
     def logits(params, features):
         w = params.reshape(params.shape[:-1] + (rows, N_CLASSES))
         z = np.swapaxes(w[..., :FEATURE_DIM, :], -1, -2) @ np.swapaxes(features, -1, -2)
-        if bias:
-            z = z + w[..., FEATURE_DIM, :, np.newaxis]
-        return z
+        return z + w[..., FEATURE_DIM, :, np.newaxis]
 
     def loss(params, features, labels):
         z = logits(params, features)
@@ -192,8 +192,7 @@ def classification_task(bias: bool = True) -> TaskSpec:
         # ones column for the bias; the onehot half depends on the data
         # alone and is computed here.
         size = _nonempty(labels).shape[-1]
-        if bias:
-            features = np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
+        features = np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
         inputs = np.ascontiguousarray(np.swapaxes(features, -1, -2))  # (..., rows, m)
         onehot = (labels[..., np.newaxis, :] == classes).astype(float)  # (..., N_CLASSES, m)
         label_term = inputs @ np.swapaxes(onehot, -1, -2) / size  # (..., rows, N_CLASSES)
@@ -216,9 +215,7 @@ def classification_task(bias: bool = True) -> TaskSpec:
 
     def evaluator(features, labels):
         size = labels.shape[0]
-        inputs = features.T
-        if bias:
-            inputs = np.vstack([inputs, np.ones(size)])  # (rows, T): the bias row multiplies ones
+        inputs = np.vstack([features.T, np.ones(size)])  # (rows, T): the bias row multiplies ones
         # Position of each sample's label score in a flattened (N_CLASSES, T) block.
         label_at = labels * size + np.arange(size)
         # predict's argmax takes the first of tied maxima, so a sample is
@@ -278,12 +275,12 @@ def _check_sizes(n_nodes: int, samples_per_node: int, test_per_node: int, sample
 
 
 def generate_regression_data(
-    n_nodes: int, samples_per_node: int, seed, sigma: float = 0.5, test_per_node: int = 100
+    n_nodes: int, samples_per_node: int, seed, test_per_node: int = 100
 ) -> tuple[LocalDataset, LocalDataset]:
     """Non-IID regression data: node i observes y = b_i + noise.
 
     Per-node bias values are drawn uniformly from (BIAS_LOW, BIAS_HIGH) and
-    the noise is N(0, sigma^2). Returns the (n_nodes, samples_per_node)
+    the noise is N(0, REGRESSION_NOISE^2). Returns the (n_nodes, samples_per_node)
     node data and the test set, which holds test_per_node samples for every
     bias value in node order, so each bias is equally represented. The
     features have no columns. Deterministic for a fixed seed.
@@ -291,8 +288,8 @@ def generate_regression_data(
     _check_sizes(n_nodes, samples_per_node, test_per_node, 8, REGRESSION_PEAK_BYTES)
     rng = np.random.default_rng(seed)
     biases = rng.uniform(BIAS_LOW, BIAS_HIGH, (n_nodes, 1))
-    labels = biases + sigma * rng.standard_normal((n_nodes, samples_per_node))
-    test_labels = (biases + sigma * rng.standard_normal((n_nodes, test_per_node))).ravel()
+    labels = biases + REGRESSION_NOISE * rng.standard_normal((n_nodes, samples_per_node))
+    test_labels = (biases + REGRESSION_NOISE * rng.standard_normal((n_nodes, test_per_node))).ravel()
     return (
         LocalDataset(np.zeros(labels.shape + (0,)), labels),
         LocalDataset(np.zeros(test_labels.shape + (0,)), test_labels),
@@ -300,12 +297,12 @@ def generate_regression_data(
 
 
 def generate_classification_data(
-    n_nodes: int, samples_per_node: int, seed, noise_cov: float = 0.05, test_per_node: int = 100
+    n_nodes: int, samples_per_node: int, seed, test_per_node: int = 100
 ) -> tuple[LocalDataset, LocalDataset]:
     """Non-IID clustered classification data; node i sees only class i mod N_CLASSES.
 
     One center per class is drawn uniformly from (CENTER_LOW, CENTER_HIGH)^FEATURE_DIM
-    once per seed; samples are the center plus N(0, noise_cov * I) noise.
+    once per seed; samples are the center plus N(0, CLUSTER_COV * I) noise.
     n_nodes must be divisible by N_CLASSES so classes are represented by
     equally many nodes. Returns the (n_nodes, samples_per_node) node data
     and the test set, balanced with test_per_node * n_nodes / N_CLASSES
@@ -317,11 +314,9 @@ def generate_classification_data(
             f"n_nodes must be divisible by {N_CLASSES} so each class has "
             f"equally many nodes, got {n_nodes}"
         )
-    if noise_cov < 0.0:
-        raise ConfigError(f"noise_cov must be nonnegative, got {noise_cov}")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(CENTER_LOW, CENTER_HIGH, (N_CLASSES, FEATURE_DIM))
-    scale = np.sqrt(noise_cov)
+    scale = np.sqrt(CLUSTER_COV)
     size = (n_nodes, samples_per_node)
     labels = np.repeat(np.arange(n_nodes, dtype=np.int64) % N_CLASSES, samples_per_node).reshape(size)
     features = centers[labels] + scale * rng.standard_normal(size + (FEATURE_DIM,))

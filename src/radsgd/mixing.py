@@ -25,7 +25,7 @@ from .errors import DimensionError, DomainError
 # perfbench wraps radsgd.mixing.success_probability_matrix and
 # radsgd.mixing.spectral_radius by these names; keep both resolvable here.
 from .mac import AccessPolicy, golden_section_max, success_probability_matrix
-from .topology import Graph, laplacian
+from .topology import Graph
 
 
 def default_epsilon(g: Graph) -> float:
@@ -53,7 +53,7 @@ def base_weight_matrix(g: Graph, epsilon: float) -> np.ndarray:
     1 - eps * d_i on the diagonal. The bound eps < 1/d_max is strict so all
     diagonal entries stay positive.
     """
-    return np.eye(g.n) - check_epsilon(g, epsilon) * laplacian(g)
+    return np.eye(g.n) - check_epsilon(g, epsilon) * g.laplacian
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray):
@@ -155,7 +155,7 @@ def consensus_rate(g: Graph, epsilon: float, p: float) -> float:
     if g.n == 1:
         return 0.0
     root_s = np.sqrt(p * (1.0 - p) ** g.degrees)
-    eig = np.linalg.eigvalsh(root_s[:, None] * laplacian(g) * root_s[None, :])
+    eig = np.linalg.eigvalsh(root_s[:, None] * g.laplacian * root_s[None, :])
     return float(1.0 - epsilon * eig[1])
 
 

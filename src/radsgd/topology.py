@@ -187,7 +187,7 @@ class Graph:
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        """Graph Laplacian D - A as floats, built on first access and read-only (see laplacian(g))."""
+        """Graph Laplacian D - A as floats (zero row sums), built on first access and read-only."""
         lap = np.zeros(_dense_shape(self.n))
         lap[self.arcs] = -1.0
         lap[np.diag_indices(self.n)] = self.degrees
@@ -305,8 +305,3 @@ def to_edge_list(g: Graph) -> str:
     """Serialize a graph to the canonical edge-list text (sorted edges)."""
     lines = [f"n {g.n}"] + [f"{u} {v}" for u, v in g.edges.tolist()]
     return "\n".join(lines) + "\n"
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian D - A: symmetric, zero row sums, degrees on the diagonal; read-only."""
-    return g.laplacian

@@ -42,13 +42,10 @@ VALUES = {
     "epsilon": (("auto", "0.1", "0.3"), ("0", "-0.1", "0.5", "nan", "inf", "x")),
     "iterations": (("1", "3", "5"), ("0", "-2", "many")),
     "batch_size": (("1", "2", "4"), ("0", "-1", "all")),
-    "p": (("0.3", "0, 0.5, 1", "1", "-0.0"), ("-0.1", "1.5", "nan", ",", "0.1, x")),
+    "p": (("0.3", "0, 0.5, 1", "1", "-0.0"), ("-0.1", "1.5", "nan", ",", "0.1, x", "0.5, 0.5")),
     "replicates": (("1", "2"), ("0", "-1", "x")),
     "seed": (("0", "3"), ("-1", "x")),
     "samples_per_node": (("1", "3", "5"), ("0", "-1", "x")),
-    "sigma": (("0", "0.5"), ("-1", "nan", "inf", "x")),
-    "noise_cov": (("0", "0.05"), ("-1", "nan", "inf", "x")),
-    "classifier_bias": (("true", "false"), ("maybe",)),
     "checkpoint_every": (("auto", "1", "2"), ("0", "-1", "x")),
     "grid_step": (("0.25", "0.5", "0.3"), ("0", "-0.1", "0.6", "nan", "x")),
     "out": (("elsewhere",), ()),  # --out always overrides it
@@ -94,12 +91,6 @@ edge_texts = st.builds(
     ),
 )
 
-@st.composite
-def seed_flags(draw):
-    value = _pick(draw, (None, "3"), ("-1", "x"))
-    return [] if value is None else ["--seed", value]
-
-
 ONE_NODE = "topology = edge_list\nedge_list = {edges}\ntask = regression\np = 0.3\niterations = 2\n"
 
 
@@ -109,16 +100,15 @@ ONE_NODE = "topology = edge_list\nedge_list = {edges}\ntask = regression\np = 0.
     command=st.sampled_from(["analyze", "sweep", "train", "topology"]),
     config=config_texts(),
     edges=edge_texts,
-    flags=seed_flags(),
 )
-@example(command="analyze", config=ONE_NODE, edges="n 1\n", flags=[])
-@example(command="sweep", config=ONE_NODE, edges="n 1\n", flags=[])
-@example(command="topology", config=ONE_NODE, edges="n 1\n", flags=[])
+@example(command="analyze", config=ONE_NODE, edges="n 1\n")
+@example(command="sweep", config=ONE_NODE, edges="n 1\n")
+@example(command="topology", config=ONE_NODE, edges="n 1\n")
 @example(command="topology", config="topology = edge_list\nedge_list = {edges}  # pinned\n",
-         edges="n 3\n0 1\n1 2\n", flags=[])
+         edges="n 3\n0 1\n1 2\n")
 # A grid step at which arange's last point lands past p = 1.
-@example(command="analyze", config="topology = ring\nn = 6\ngrid_step = 0.0006\n", edges="", flags=[])
-def test_cli_contract_holds_on_generated_files(command, config, edges, flags):
+@example(command="analyze", config="topology = ring\nn = 6\ngrid_step = 0.0006\n", edges="")
+def test_cli_contract_holds_on_generated_files(command, config, edges):
     with tempfile.TemporaryDirectory() as tmp:
         folder = os.path.join(tmp, "a#b")  # a "#" inside the edge_list path
         os.mkdir(folder)
@@ -128,7 +118,7 @@ def test_cli_contract_holds_on_generated_files(command, config, edges, flags):
         config_path = os.path.join(tmp, "run.cfg")
         with open(config_path, "w", encoding="utf-8") as handle:
             handle.write(config.format(edges=edges_path, missing=os.path.join(tmp, "missing.txt"), folder=folder))
-        argv = [command, "--config", config_path, "--out", os.path.join(tmp, "out"), *flags]
+        argv = [command, "--config", config_path, "--out", os.path.join(tmp, "out")]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)

@@ -21,7 +21,6 @@ from radsgd.topology import Graph, complete, erdos_renyi, ring
 TASKS = {
     "regression": (regression_task(), 0),
     "classification": (classification_task(), 2),
-    "classification_no_bias": (classification_task(bias=False), 2),
 }
 
 
@@ -53,17 +52,13 @@ def _per_call_gradient(name, params, features, labels):
     if name == "regression":
         return 2.0 * np.mean(params[..., :1] - labels, axis=-1, keepdims=True)
     f = features.shape[-1]
-    rows = TASKS[name][0].dim // 4
-    w = params.reshape(params.shape[:-1] + (rows, 4))
+    w = params.reshape(params.shape[:-1] + (f + 1, 4))
     z = np.swapaxes(w[..., :f, :], -1, -2) @ np.swapaxes(features, -1, -2)
-    if rows > f:
-        z = z + w[..., f, :, np.newaxis]
+    z = z + w[..., f, :, np.newaxis]
     probs = np.exp(z - z.max(axis=-2, keepdims=True))
     probs /= probs.sum(axis=-2, keepdims=True)
     probs -= labels[..., np.newaxis, :] == np.arange(4)[:, np.newaxis]
-    grad = probs @ features
-    if rows > f:
-        grad = np.concatenate([grad, probs.sum(axis=-1, keepdims=True)], axis=-1)
+    grad = np.concatenate([probs @ features, probs.sum(axis=-1, keepdims=True)], axis=-1)
     grad = np.swapaxes(grad, -1, -2) / labels.shape[-1]
     return grad.reshape(grad.shape[:-2] + (-1,))
 
@@ -290,11 +285,10 @@ def test_evaluator_matches_per_node_loop(name, scale):
     _assert_matches_oracle(task, params, features, labels)
 
 
-@pytest.mark.parametrize("bias", [True, False])
-def test_evaluator_zero_params_ties_every_class(bias):
+def test_evaluator_zero_params_ties_every_class():
     # eta = 0 keeps every model at zero: all four classes tie, argmax picks
     # class 0, and the balanced test set is right on exactly a quarter.
-    task = classification_task(bias=bias)
+    task = classification_task()
     data, test = generate_classification_data(8, 5, seed=1)
     loss, acc = task.evaluator(test.features, test.labels)(np.zeros((8, task.dim)))
     np.testing.assert_allclose(loss, np.log(4.0), rtol=1e-15)
@@ -305,28 +299,25 @@ def test_evaluator_zero_params_ties_every_class(bias):
     assert np.all(trace.accuracy == 0.25)
 
 
-@pytest.mark.parametrize("bias", [True, False])
-def test_evaluator_breaks_exact_ties_like_argmax(bias):
+def test_evaluator_breaks_exact_ties_like_argmax():
     # Small integer weights and inputs make exact ties for the top score
     # common, between every pair of classes and with the label on either side.
-    task = classification_task(bias=bias)
+    task = classification_task()
     rng = np.random.default_rng(2)
     size = 400
     features = rng.integers(-2, 3, (size, 2)).astype(float)
     labels = rng.integers(0, 4, size)
     params = rng.integers(-1, 2, (12, task.dim)).astype(float)
-    rows = task.dim // 4
-    inputs = np.column_stack([features, np.ones(size)])[:, :rows]
-    z = params.reshape(12, rows, 4).swapaxes(-1, -2) @ inputs.T
+    inputs = np.column_stack([features, np.ones(size)])
+    z = params.reshape(12, 3, 4).swapaxes(-1, -2) @ inputs.T
     top = z == z.max(axis=1, keepdims=True)
     label_tied = top[:, labels, np.arange(size)] & (top.sum(axis=1) > 1)
     assert label_tied.mean() > 0.1
     _assert_matches_oracle(task, params, features, labels)
 
 
-@pytest.mark.parametrize("bias", [True, False])
-def test_evaluator_blocks_need_not_divide_n(bias):
-    task = classification_task(bias=bias)
+def test_evaluator_blocks_need_not_divide_n():
+    task = classification_task()
     rng = np.random.default_rng(6)
     size = 1000
     block = EVAL_BLOCK_BYTES // (4 * size * 8)

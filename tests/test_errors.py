@@ -38,7 +38,6 @@ CASES = {
     "optimum_grid_step_nan": (DomainError, lambda: spectral_optimal_probability(ring(4), 0.25, grid_step=np.nan)),
     "dataset_nan_feature": (DomainError, lambda: LocalDataset(np.full((2, 1), np.nan), np.zeros(2))),
     "dataset_inf_label": (DomainError, lambda: LocalDataset(np.zeros((2, 1)), np.array([0.0, np.inf]))),
-    "regression_sigma_nan": (DomainError, lambda: generate_regression_data(4, 5, 0, sigma=np.nan)),
     "regression_samples_bytes": (DimensionError, lambda: generate_regression_data(4, 3 * 10 ** 18, 0)),
     "regression_samples_dimension": (DimensionError, lambda: generate_regression_data(4, 10 ** 19, 0)),
     "classification_samples_bytes": (DimensionError, lambda: generate_classification_data(4, 3 * 10 ** 18, 0)),

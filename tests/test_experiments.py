@@ -74,9 +74,12 @@ def test_parse_config_comments_and_inline(tmp_path):
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
-    path = _write_config(tmp_path / "a.cfg", "topology = ring\nn = 6\nbogus = 1\n")
-    with pytest.raises(ConfigError, match="bogus"):
-        parse_config(path)
+    # sigma, noise_cov and classifier_bias were config keys; their values
+    # are now constants of the data setup.
+    for key in ("bogus", "sigma", "noise_cov", "classifier_bias"):
+        path = _write_config(tmp_path / "a.cfg", f"topology = ring\nn = 6\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(path)
 
 
 def test_parse_config_rejects_duplicate_key(tmp_path):
@@ -115,13 +118,21 @@ def test_parse_config_rejects_out_of_range_p(tmp_path):
         parse_config(path)
 
 
+# -0.0 repeats 0.0: run_seed gives both one stream, so the cells would repeat.
+@pytest.mark.parametrize("values,repeated", [("0.3, 0.3", "0.3"), ("0, 0.5, -0.0", "-0.0")])
+def test_parse_config_rejects_repeated_p(tmp_path, values, repeated):
+    path = _write_config(tmp_path / "a.cfg", f"topology = ring\nn = 6\np = {values}\n")
+    with pytest.raises(ConfigError, match=f"but {repeated} repeats"):
+        parse_config(path)
+
+
 def test_parse_config_rejects_negative_seed(tmp_path):
     path = _write_config(tmp_path / "a.cfg", "topology = ring\nn = 6\nseed = -1\n")
     with pytest.raises(ConfigError, match="seed"):
         parse_config(path)
 
 
-@pytest.mark.parametrize("line", ["sigma = nan", "noise_cov = inf", "eta = -inf"])
+@pytest.mark.parametrize("line", ["edge_prob = nan", "grid_step = inf", "eta = -inf"])
 def test_parse_config_rejects_non_finite_numbers(tmp_path, line):
     path = _write_config(tmp_path / "a.cfg", f"topology = ring\nn = 6\n{line}\n")
     with pytest.raises(ConfigError, match=f"{line.split()[0]} must be a finite number"):
@@ -142,8 +153,7 @@ SCHEMA_SAMPLE = {
     "topology": "edge_list", "n": 7, "edge_prob": 0.4, "graph_seed": 5, "edge_list": None,
     "task": "classification", "eta": 0.02, "epsilon": 0.1, "iterations": 7, "batch_size": 3,
     "probabilities": (0.25, 0.5), "replicates": 2, "seed": 9, "samples_per_node": 11,
-    "sigma": 0.25, "noise_cov": 0.125, "classifier_bias": False, "checkpoint_every": 2,
-    "grid_step": 0.125, "out": "elsewhere", "plots": True,
+    "checkpoint_every": 2, "grid_step": 0.125, "out": "elsewhere", "plots": True,
 }
 
 
@@ -471,10 +481,11 @@ def test_cli_runtime_error_exit_code(tmp_path):
     assert main(["train", "--config", config, "--out", str(tmp_path)]) == 2
 
 
-def test_cli_seed_override_changes_results(tmp_path):
+def test_cli_config_seed_changes_results(tmp_path):
     config = _write_config(tmp_path / "t.cfg", BASE_SWEEP)
+    reseeded = _write_config(tmp_path / "u.cfg", BASE_SWEEP.replace("seed = 7", "seed = 8"))
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "a")]) == 0
-    assert main(["sweep", "--config", config, "--out", str(tmp_path / "b"), "--seed", "8"]) == 0
+    assert main(["sweep", "--config", reseeded, "--out", str(tmp_path / "b")]) == 0
     a = (tmp_path / "a" / "sweep.csv").read_bytes()
     b = (tmp_path / "b" / "sweep.csv").read_bytes()
     assert a != b
@@ -492,6 +503,20 @@ def _assert_config_error(capsys, argv, field):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0], err
     assert err.count("error:") == 1
+
+
+def test_cli_rejects_seed_flag(tmp_path, capsys):
+    config = _write_config(tmp_path / "t.cfg", BASE_SWEEP)
+    _assert_config_error(capsys, ["sweep", "--config", config, "--out", str(tmp_path), "--seed", "3"], "--seed")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["sigma = 0.5", "noise_cov = 0.05", "classifier_bias = true", "p = 0, 0.3, -0.0"])
+def test_cli_removed_keys_and_repeated_p_are_config_errors(tmp_path, capsys, line):
+    config = _write_config(tmp_path / "t.cfg", BASE_SWEEP.replace("p = 0, 0.3333333333333333, 1", "") + line + "\n")
+    field = "repeats" if line.startswith("p =") else f"unknown config key '{line.split()[0]}'"
+    _assert_config_error(capsys, ["sweep", "--config", config, "--out", str(tmp_path)], field)
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_negative_graph_seed_is_config_error(tmp_path, capsys):

@@ -15,12 +15,14 @@ rate moved from the general eigensolver to the symmetric reduction. Both
 changes reorder floating-point sums, so a change may move the last bits
 but nothing more. The train_classification_batch8 entries were recorded
 again, alone, when the minibatch draw became one partial Fisher-Yates
-shuffle of all nodes, which reads a different random stream. Rerecord with
+shuffle of all nodes, which reads a different random stream. Rerecord
+the entries whose outputs a change is meant to move, and only those, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
 
-only when a change of the outputs is intended, and say so where the
-change is recorded.
+where each NAME is a key of RUNS or of SPECTRAL_RUNS (analyze_er,
+analyze_ring, topology_er); every other entry keeps its bytes. Say which
+entries were recorded again where the change is recorded.
 """
 
 import csv
@@ -46,6 +48,7 @@ RTOL = 1e-9
 ATOL = 1e-12
 
 ANALYZE_RUNS = ("analyze_er", "analyze_ring")
+SPECTRAL_RUNS = ANALYZE_RUNS + ("topology_er",)
 
 RUNS = {
     # The benchmark's classification sweep: full-batch softmax gradients.
@@ -145,15 +148,14 @@ def analyze_csv_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{name}.analyze.csv")
 
 
-def spectral_values(out_dir: str) -> dict:
-    """Both optima of each analyze config and the topology config's algebraic connectivity."""
-    values = {}
-    for name in ANALYZE_RUNS:
-        result = cmd_analyze(parse_config(os.path.join(CONFIGS, f"{name}.cfg")), out_dir=os.path.join(out_dir, name))
-        values[name] = {key: result[key] for key in ("throughput_optimal", "spectral_optimal")}
-    result = cmd_topology(parse_config(os.path.join(CONFIGS, "topology_er.cfg")), out_dir=os.path.join(out_dir, "topology"))
-    values["topology_er"] = {"algebraic_connectivity": result["algebraic_connectivity"]}
-    return values
+def spectral_entry(name: str, out_dir: str) -> dict:
+    """Both optima of an analyze config, or the topology config's algebraic connectivity."""
+    config = parse_config(os.path.join(CONFIGS, f"{name}.cfg"))
+    if name in ANALYZE_RUNS:
+        result = cmd_analyze(config, out_dir=os.path.join(out_dir, name))
+        return {key: result[key] for key in ("throughput_optimal", "spectral_optimal")}
+    result = cmd_topology(config, out_dir=os.path.join(out_dir, name))
+    return {"algebraic_connectivity": result["algebraic_connectivity"]}
 
 
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -165,7 +167,7 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
 def test_analyze_and_topology_match_golden(tmp_path):
     with open(SPECTRAL_GOLDEN, encoding="utf-8") as handle:
         want = json.load(handle)
-    got = spectral_values(str(tmp_path))
+    got = {name: spectral_entry(name, str(tmp_path)) for name in SPECTRAL_RUNS}
     assert sorted(got) == sorted(want)
     for name, values in want.items():
         for key, value in values.items():
@@ -178,23 +180,71 @@ def test_analyze_and_topology_match_golden(tmp_path):
         np.testing.assert_allclose(got_rows, want_rows, rtol=RTOL, atol=ATOL, err_msg=name)
 
 
-def record():
+def _update(path: str, entries: dict):
+    """Replace the given entries of one golden JSON file and keep the others."""
+    if not entries:
+        return
+    with open(path, encoding="utf-8") as handle:
+        values = json.load(handle)
+    values.update(entries)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(values, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+def record(names: list[str]):
+    """Record the named golden entries again from the current build; leave every other entry as it is."""
+    known = [*RUNS, *SPECTRAL_RUNS]
+    unknown = [name for name in names if name not in known]
+    if unknown or not names:
+        raise SystemExit(
+            f"usage: test_golden.py NAME..., each NAME one of {', '.join(known)}"
+            + (f"; unknown: {', '.join(unknown)}" if unknown else "")
+        )
     with tempfile.TemporaryDirectory() as tmp:
-        cells = {
-            name: cell_rows(kind, config, os.path.join(tmp, name))
-            for name, (kind, config) in RUNS.items()
-        }
-        spectral = spectral_values(tmp)
-        os.makedirs(GOLDEN_DIR, exist_ok=True)
-        for name in ANALYZE_RUNS:
+        cells = {name: cell_rows(*RUNS[name], os.path.join(tmp, name)) for name in names if name in RUNS}
+        spectral = {name: spectral_entry(name, tmp) for name in names if name in SPECTRAL_RUNS}
+        for name in set(names) & set(ANALYZE_RUNS):
             shutil.copyfile(os.path.join(tmp, name, "analyze.csv"), analyze_csv_path(name))
-    golden = {name: final_values(rows) for name, rows in cells.items()}
-    checkpoints = {name: checkpoint_values(rows) for name, rows in cells.items()}
-    for path, values in ((GOLDEN, golden), (CHECKPOINT_GOLDEN, checkpoints), (SPECTRAL_GOLDEN, spectral)):
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(values, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+    _update(GOLDEN, {name: final_values(rows) for name, rows in cells.items()})
+    _update(CHECKPOINT_GOLDEN, {name: checkpoint_values(rows) for name, rows in cells.items()})
+    _update(SPECTRAL_GOLDEN, spectral)
+
+
+def test_record_rewrites_only_the_named_entries(tmp_path, monkeypatch):
+    # Every golden copy holds markers that a re-record would overwrite; only
+    # the named run's entries may lose theirs.
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN_DIR", str(tmp_path))
+    names = {}
+    for constant in ("GOLDEN", "CHECKPOINT_GOLDEN", "SPECTRAL_GOLDEN"):
+        path = getattr(module, constant)
+        with open(path, encoding="utf-8") as handle:
+            names[os.path.basename(path)] = sorted(json.load(handle))
+        copy = tmp_path / os.path.basename(path)
+        copy.write_text(json.dumps(dict.fromkeys(names[copy.name], "marker")), encoding="utf-8")
+        monkeypatch.setattr(module, constant, str(copy))
+    for name in ANALYZE_RUNS:
+        (tmp_path / f"{name}.analyze.csv").write_text("marker\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    with pytest.raises(SystemExit, match="unknown: bogus"):
+        record(["sweep_regression_er30", "bogus"])
+    with pytest.raises(SystemExit, match="usage"):
+        record([])
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    record(["sweep_regression_er30"])
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)
+    for file in ("final_losses.json", "checkpoints.json"):
+        got = json.loads(after[file])
+        assert sorted(got) == names[file]
+        assert {name for name, value in got.items() if value != "marker"} == {"sweep_regression_er30"}
+        assert sorted(got["sweep_regression_er30"]) == ["0.1,0", "0.1,1", "0.3,0", "0.3,1"]
+    for file in ("spectral.json", *(f"{name}.analyze.csv" for name in ANALYZE_RUNS)):
+        assert after[file] == before[file], file
 
 
 if __name__ == "__main__":
-    sys.exit(record())
+    sys.exit(record(sys.argv[1:]))

@@ -34,8 +34,9 @@ def _finite_difference(task, params, features, labels, step=1e-6):
     return grad
 
 
-def test_regression_data_noiseless_equals_bias():
-    data, _ = generate_regression_data(4, 10, seed=0, sigma=0.0)
+def test_regression_data_noiseless_equals_bias(monkeypatch):
+    monkeypatch.setattr(radsgd.learning, "REGRESSION_NOISE", 0.0)
+    data, _ = generate_regression_data(4, 10, seed=0)
     assert data.features.shape == (4, 10, 0)
     for labels in data.labels:
         assert np.all(labels == labels[0])
@@ -54,8 +55,9 @@ def test_regression_data_deterministic():
     assert np.array_equal(a_test.labels, b_test.labels)
 
 
-def test_regression_test_set_balanced_across_biases():
-    data, test = generate_regression_data(5, 10, seed=2, sigma=0.0, test_per_node=7)
+def test_regression_test_set_balanced_across_biases(monkeypatch):
+    monkeypatch.setattr(radsgd.learning, "REGRESSION_NOISE", 0.0)
+    data, test = generate_regression_data(5, 10, seed=2, test_per_node=7)
     biases = data.labels[:, 0]
     assert test.size == 35
     for i, bias in enumerate(biases):
@@ -72,8 +74,9 @@ def test_classification_data_nodes_per_class():
         assert class_of.count(cls) == 5
 
 
-def test_classification_data_noiseless_equals_center():
-    data, _ = generate_classification_data(8, 5, seed=4, noise_cov=0.0)
+def test_classification_data_noiseless_equals_center(monkeypatch):
+    monkeypatch.setattr(radsgd.learning, "CLUSTER_COV", 0.0)
+    data, _ = generate_classification_data(8, 5, seed=4)
     for features in data.features:
         assert np.all(features == features[0])
     # nodes of the same class share the center
@@ -171,14 +174,14 @@ def test_gradients_match_finite_differences():
         grad = reg.gradient(np.zeros((12, 0)), labels)(params)
         fd = _finite_difference(reg, params, np.zeros((12, 0)), labels)
         assert np.linalg.norm(grad - fd) <= 1e-5 * max(1e-8, np.linalg.norm(fd))
-    for task in (classification_task(), classification_task(bias=False)):
-        for _ in range(10):
-            params = rng.standard_normal(task.dim)
-            features = rng.standard_normal((15, 2))
-            labels = rng.integers(0, 4, 15)
-            grad = task.gradient(features, labels)(params)
-            fd = _finite_difference(task, params, features, labels)
-            assert np.linalg.norm(grad - fd) <= 1e-5 * max(1e-8, np.linalg.norm(fd))
+    task = classification_task()
+    for _ in range(10):
+        params = rng.standard_normal(task.dim)
+        features = rng.standard_normal((15, 2))
+        labels = rng.integers(0, 4, 15)
+        grad = task.gradient(features, labels)(params)
+        fd = _finite_difference(task, params, features, labels)
+        assert np.linalg.norm(grad - fd) <= 1e-5 * max(1e-8, np.linalg.norm(fd))
 
 
 def _regression_setup(n, seed=0):
@@ -348,10 +351,11 @@ def test_train_endpoint_probabilities_use_identity_mixing():
     assert traces[0].consensus_distance[-1] > 0  # non-IID local optima drift apart
 
 
-def test_train_noiseless_complete_graph_reaches_mean_bias():
+def test_train_noiseless_complete_graph_reaches_mean_bias(monkeypatch):
+    monkeypatch.setattr(radsgd.learning, "REGRESSION_NOISE", 0.0)
     g = complete(4)
     task = regression_task()
-    data, test = generate_regression_data(4, 10, seed=5, sigma=0.0)
+    data, test = generate_regression_data(4, 10, seed=5)
     biases = data.labels[:, 0]
     w = base_weight_matrix(g, 0.25)
     params = np.zeros((4, 1))

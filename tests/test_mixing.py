@@ -18,7 +18,7 @@ from radsgd.mixing import (
     spectral_optimal_probability,
     spectral_radius,
 )
-from radsgd.topology import Graph, complete, erdos_renyi, from_edge_list, laplacian, ring
+from radsgd.topology import Graph, complete, erdos_renyi, from_edge_list, ring
 
 COLLISION_DOC = "n 5\n0 1\n0 4\n3 2\n3 4\n"
 PATH3 = from_edge_list("n 3\n0 1\n1 2\n")
@@ -252,7 +252,7 @@ def test_lambda_n_end_never_binds(g, gap, p):
     # so 1 - eps * lambda_2(H) is the whole rate, even as eps nears 1/d_max.
     eps = (1.0 - gap) / float(g.degrees.max())
     root_s = np.sqrt(p * (1.0 - p) ** g.degrees)
-    eig = np.linalg.eigvalsh(root_s[:, None] * laplacian(g) * root_s[None, :])
+    eig = np.linalg.eigvalsh(root_s[:, None] * g.laplacian * root_s[None, :])
     assert eps * eig[-1] < 0.5
     assert consensus_rate(g, eps, p) == max(abs(1.0 - eps * eig[1]), abs(1.0 - eps * eig[-1]))
 

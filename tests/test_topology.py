@@ -13,7 +13,6 @@ from radsgd.topology import (
     complete,
     erdos_renyi,
     from_edge_list,
-    laplacian,
     ring,
     to_edge_list,
 )
@@ -154,18 +153,18 @@ def test_edge_list_round_trip():
 
 
 def test_laplacian_triangle():
-    lap = laplacian(ring(3))
+    lap = ring(3).laplacian
     assert np.allclose(np.diag(lap), 2)
     assert np.allclose(lap[~np.eye(3, dtype=bool)], -1)
 
 
 def test_laplacian_path():
-    lap = laplacian(from_edge_list("n 3\n0 1\n1 2\n"))
+    lap = from_edge_list("n 3\n0 1\n1 2\n").laplacian
     assert list(np.diag(lap)) == [1, 2, 1]
 
 
 def test_laplacian_ring20():
-    lap = laplacian(ring(20))
+    lap = ring(20).laplacian
     assert np.allclose(lap.sum(axis=1), 0)
     assert np.allclose(np.diag(lap), 2)
     assert np.array_equal(lap, lap.T)
@@ -174,17 +173,17 @@ def test_laplacian_ring20():
 def test_degrees_and_laplacian_are_computed_once_and_read_only():
     g = erdos_renyi(10, 0.4, seed=3)
     assert g.degrees is g.degrees
-    assert laplacian(g) is laplacian(g)
+    assert g.laplacian is g.laplacian
     assert np.array_equal(g.degrees, g.adjacency.sum(axis=1))
-    assert np.array_equal(laplacian(g), np.diag(g.degrees) - g.adjacency)
-    for array in (g.degrees, laplacian(g)):
+    assert np.array_equal(g.laplacian, np.diag(g.degrees) - g.adjacency)
+    for array in (g.degrees, g.laplacian):
         with pytest.raises(ValueError):
             array[0] = 0
 
 
 def test_laplacian_positive_semidefinite():
     for g in (ring(6), complete(5), erdos_renyi(10, 0.4, seed=1)):
-        vals = np.linalg.eigvalsh(laplacian(g))
+        vals = np.linalg.eigvalsh(g.laplacian)
         assert vals[0] >= -1e-9
         # algebraic connectivity is positive for connected graphs
         assert vals[1] > 0
