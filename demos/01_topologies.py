@@ -19,7 +19,7 @@ graphs = {
 for name, g in graphs.items():
     spectrum = np.linalg.eigvalsh(g.laplacian)
     print(f"--- {name}")
-    print(f"    nodes={g.n} edges={g.edge_count} degrees={list(g.degrees)}")
+    print(f"    nodes={g.n} edges={g.edge_count} degrees={g.degrees.tolist()}")
     print(f"    laplacian spectrum: {np.round(spectrum, 4) + 0.0}")  # + 0.0 turns -0.0 into 0.0
     print(f"    algebraic connectivity: {spectrum[1]:.4f}")
 

@@ -28,7 +28,7 @@ for slot in range(10):
     b = sample_broadcast(policy, rng)
     t = transmission_matrix(g, b)
     arrows = [f"{j}->{i}" for i in range(g.n) for j in range(g.n) if i != j and t[i, j]]
-    print(f"  slot {slot}: b={list(b)} {' '.join(arrows) if arrows else '(nothing delivered)'}")
+    print(f"  slot {slot}: b={b.tolist()} {' '.join(arrows) if arrows else '(nothing delivered)'}")
 
 # Closed form for a single link: sender talks, receiver is silent, and
 # every other neighbor of the receiver is silent too.

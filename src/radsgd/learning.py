@@ -39,6 +39,10 @@ DIVERGENCE_LIMIT = 1e9
 # Bound on the logits block a classification evaluator holds at once; it
 # sets how many nodes share one (k, N_CLASSES, T) product.
 EVAL_BLOCK_BYTES = 1 << 17
+# Bound on what train holds for a block of slots drawn ahead of their steps:
+# 8 bytes per arc of the 2|E| + n that each slot decodes, and each slot's
+# minibatch. It sets how many slots share one decoder call.
+DECODE_BLOCK_BYTES = 1 << 18
 # The two data setups: N_CLASSES clusters in FEATURE_DIM dimensions, centres
 # drawn from (CENTER_LOW, CENTER_HIGH), samples spread by N(0, CLUSTER_COV * I);
 # regression biases from (BIAS_LOW, BIAS_HIGH), labels by N(0, REGRESSION_NOISE^2).
@@ -424,7 +428,15 @@ def train(
     node; test is the shared (T, f) / (T,) test set, to which the task's
     evaluator is bound once for all checkpoints. The task's gradient is
     bound to data once per run, or, with minibatches, to each slot's
-    batch as that slot draws it.
+    batch at that slot's step.
+
+    The broadcasts depend on the policy and the graph alone, so the run
+    goes in blocks of slots: for each slot of a block in turn, one
+    sample_broadcast call, then that slot's minibatch draw, from the one
+    generator seeded by seed, in the order of a slot-by-slot loop; then
+    one decoder call for the block's (slots, n) decisions; then each
+    slot's step, divergence check and checkpoint. A block holds at most
+    DECODE_BLOCK_BYTES of arc values and minibatches.
 
     epsilon None means 1/(d_max + 1); batch_size None, or one at least the
     local dataset size, means the full local dataset; checkpoint_every None
@@ -456,34 +468,43 @@ def train(
     evaluate = task.evaluator(test.features, test.labels)
     decode = link_decoder(g)
     rng = np.random.default_rng(seed)
-    if batch_size is None or batch_size >= data.size:
-        gradient = task.gradient(data.features, data.labels)
-    else:
-        def gradient(params):
-            return task.gradient(*_draw_batch(data.features, data.labels, batch_size, rng))(params)
+    minibatch = batch_size is not None and batch_size < data.size
+    gradient = None if minibatch else task.gradient(data.features, data.labels)
+    slot_bytes = 8 * (g.arcs[0].size + g.n)
+    if minibatch:
+        slot_bytes += data.features[:, :batch_size].nbytes + data.labels[:, :batch_size].nbytes
+    block = max(1, DECODE_BLOCK_BYTES // slot_bytes)
     params = np.zeros((g.n, task.dim))
     every = checkpoint_every
     if every is None:
         every = 1 if iterations <= 1000 else 10
     checkpoints, losses, accs, consensus = [], [], [], []
-    for t in range(1, iterations + 1):
-        receivers, senders = decode(sample_broadcast(policy, rng))
-        with np.errstate(over="ignore", invalid="ignore"):
-            params = dsgd_step(
-                params, step_size, lambda z: mix_slot(z, receivers, senders, epsilon), gradient
-            )
-        # NaN fails the comparison, so one pass catches NaN and +-inf too.
-        if not (np.abs(params).max() <= DIVERGENCE_LIMIT):
-            raise DivergenceError(
-                f"parameter magnitude exceeded {DIVERGENCE_LIMIT:.0e} at iteration {t} "
-                f"(step_size={step_size})"
-            )
-        if t % every == 0 or t == iterations:
-            loss, acc, dist = _evaluate(evaluate, params)
-            checkpoints.append(t)
-            losses.append(loss)
-            accs.append(acc)
-            consensus.append(dist)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(1, iterations + 1, block):
+            # The stream's order: each slot's channel, then its minibatch.
+            decisions, batches = [], []
+            for _ in range(min(block, iterations + 1 - first)):
+                decisions.append(sample_broadcast(policy, rng))
+                if minibatch:
+                    batches.append(_draw_batch(data.features, data.labels, batch_size, rng))
+            for t, (receivers, senders) in enumerate(decode(np.array(decisions)), start=first):
+                if minibatch:
+                    gradient = task.gradient(*batches[t - first])
+                params = dsgd_step(
+                    params, step_size, lambda z: mix_slot(z, receivers, senders, epsilon), gradient
+                )
+                # NaN fails the comparison, so one pass catches NaN and +-inf too.
+                if not (np.abs(params).max() <= DIVERGENCE_LIMIT):
+                    raise DivergenceError(
+                        f"parameter magnitude exceeded {DIVERGENCE_LIMIT:.0e} at iteration {t} "
+                        f"(step_size={step_size})"
+                    )
+                if t % every == 0 or t == iterations:
+                    loss, acc, dist = _evaluate(evaluate, params)
+                    checkpoints.append(t)
+                    losses.append(loss)
+                    accs.append(acc)
+                    consensus.append(dist)
     return MetricTrace(
         iterations=np.array(checkpoints, dtype=np.int64),
         avg_test_loss=np.array(losses),

@@ -23,6 +23,9 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # 2^n enumeration cap for the exact-throughput oracle.
 MAX_BRUTE_FORCE_NODES = 20
 
+# One slot's decoded links: int64 (receivers, senders), receivers ascending.
+Links = tuple[np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class AccessPolicy:
@@ -54,16 +57,22 @@ def sample_broadcast(policy: AccessPolicy, rng: np.random.Generator) -> np.ndarr
     return (rng.random(policy.n) < policy.probs).astype(np.int64)
 
 
-def link_decoder(g: Graph) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """decoding_links bound to g: a function that maps a broadcast vector b to (receivers, senders).
+def link_decoder(g: Graph) -> Callable[[np.ndarray], Links | list[Links]]:
+    """decoding_links bound to g, for one broadcast vector or a block of them.
+
+    The returned decode(b) maps a vector b (n,) to (receivers, senders), as
+    decoding_links does, and a block b (slots, n) of vectors, one slot per
+    row, to the list of those pairs, row by row. Both run one kernel over
+    a (slots, n) block; a vector is a block of one slot.
 
     Node i's closed neighbourhood is laid out as one segment: an arc to
     each neighbour j, coded n + j, then an arc to itself, coded 2n. The
     codes of the arcs whose end broadcasts sum to a value in [n, 2n)
     exactly when i is silent and one neighbour j broadcasts, and the value
     is then n + j; silence everywhere sums to 0, and a broadcast by i or
-    by two neighbours to at least 2n. So a slot costs one gather of
-    b != 0 and one segmented sum over the 2|E| + n arcs.
+    by two neighbours to at least 2n. So a block costs one gather of
+    b != 0 over its slots and the 2|E| + n arcs, one segmented sum over
+    each slot's arcs, and one nonzero over the (slots, n) values.
 
     An unchecked per-slot internal: the bound function checks only the
     shape of b (DimensionError, as decoding_links does), and any entry
@@ -85,32 +94,48 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarra
     codes[moved] = n + tails
     codes[own] = 2 * n
 
-    def decode(b) -> tuple[np.ndarray, np.ndarray]:
-        bits = np.asarray(b)
-        if bits.shape != (n,):
-            raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={n}")
-        # astype(bool) is b != 0, in one pass without a scalar operand.
-        value = np.add.reduceat(bits.astype(bool)[sources] * codes, starts)
+    def links(bits: np.ndarray) -> Links:
+        """Positions slot * n + receiver, ascending, and senders of a (slots, n) block."""
+        # astype(bool) is b != 0, in one pass without a scalar operand; a
+        # take along the arc axis returns the gather C-ordered, so the
+        # product and the sums stay one contiguous pass per slot.
+        value = np.add.reduceat(np.take(bits.astype(bool), sources, axis=1) * codes, starts, axis=1)
         value -= n
         # Negative values wrap to above 2**63 as unsigned, so one compare
         # keeps exactly the values in [0, n).
-        receivers = (value.view(np.uint64) < n).nonzero()[0]
-        return receivers, value[receivers]
+        value = value.ravel()
+        flat = (value.view(np.uint64) < n).nonzero()[0]
+        return flat, value[flat]
+
+    def decode(b):
+        bits = np.asarray(b)
+        if bits.ndim not in (1, 2) or bits.shape[-1] != n:
+            raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={n}")
+        if bits.ndim == 1:
+            return links(bits[np.newaxis])
+        flat, senders = links(bits)
+        bounds = np.searchsorted(flat, np.arange(0, bits.size + 1, n)).tolist()
+        receivers = flat % n
+        return [(receivers[lo:hi], senders[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     return decode
 
 
-def decoding_links(g: Graph, b) -> tuple[np.ndarray, np.ndarray]:
+def decoding_links(g: Graph, b) -> Links:
     """Receivers that decode a packet in a slot with broadcast vector b, and their senders.
 
     Receiver i decodes iff it is silent and exactly one of its neighbors
     broadcasts; that neighbor is its sender. Returns int64 (receivers,
     senders), with receivers ascending. The one-shot form of
-    link_decoder(g)(b): it binds in O(n + |E|), then decodes with one
-    gather and one segmented sum over the 2|E| + n arcs of the closed
-    neighbourhoods, not O(n^2).
+    link_decoder(g)(b) for one vector b (n,): it binds in O(n + |E|), then
+    runs the decoder's kernel on a block of one slot, one gather and one
+    segmented sum over the 2|E| + n arcs of the closed neighbourhoods,
+    not O(n^2).
     """
-    return link_decoder(g)(b)
+    bits = np.asarray(b)
+    if bits.ndim != 1:
+        raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={g.n}")
+    return link_decoder(g)(bits)
 
 
 def transmission_matrix(g: Graph, b) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from radsgd import learning
 from radsgd.errors import DimensionError
 from radsgd.learning import (
+    DECODE_BLOCK_BYTES,
     EVAL_BLOCK_BYTES,
     LocalDataset,
     classification_task,
@@ -167,6 +168,33 @@ def test_one_local_gradient_call_per_slot(monkeypatch, batch_size):
     assert calls == [(8, 12)] * 7
 
 
+@pytest.mark.parametrize("batch_size", [None, 4])
+def test_one_sample_broadcast_call_per_slot_ahead_of_its_batch(monkeypatch, batch_size):
+    events = []
+    sample, draw = learning.sample_broadcast, learning._draw_batch
+    fresh = np.random.default_rng(5).bit_generator.state
+
+    def sampling(policy, rng):
+        events.append(("channel", policy, rng, rng.bit_generator.state if not events else None))
+        return sample(policy, rng)
+
+    def drawing(features, labels, size, rng):
+        events.append(("batch", None, rng, None))
+        return draw(features, labels, size, rng)
+
+    monkeypatch.setattr("radsgd.learning.sample_broadcast", sampling)
+    monkeypatch.setattr("radsgd.learning._draw_batch", drawing)
+    data, test = generate_classification_data(8, 10, seed=0)
+    policy = AccessPolicy.uniform(8, 0.3)
+    train(ring(8), policy, classification_task(), data, test, iterations=7, batch_size=batch_size, seed=5)
+    per_slot = ["channel"] if batch_size is None else ["channel", "batch"]
+    assert [kind for kind, *_ in events] == per_slot * 7
+    # One generator, the run's: seeded by seed and untouched before the first slot.
+    assert events[0][3] == fresh
+    assert all(rng is events[0][2] for _, _, rng, _ in events)
+    assert all(p is policy for kind, p, _, _ in events if kind == "channel")
+
+
 @pytest.mark.parametrize("graph", ["ring", "erdos_renyi"])
 @pytest.mark.parametrize("p", [0.0, 0.17, 0.5, 1.0])
 def test_sparse_slot_update_equals_dense_chain(graph, p):
@@ -215,16 +243,61 @@ def test_decoding_links_follow_the_collision_rule(name):
     for b in vectors[2:12]:
         vectors.append(np.where(b != 0, rng.choice([2, -1, 1], size=g.n), 0))
         vectors.append(b != 0)
-    for b in vectors:
+    # The same vectors as one block, and each as a block of one slot.
+    block = np.array(vectors)
+    rows = decode(block)
+    assert len(rows) == len(vectors)
+    assert decode(block[:0]) == []
+    for k, b in enumerate(vectors):
         want_receivers, want_senders = _collision_rule(g, b)
-        for receivers, senders in (decoding_links(g, b), decode(b)):
+        [one_slot] = decode(block[k:k + 1])
+        for receivers, senders in (decoding_links(g, b), decode(b), rows[k], one_slot):
             assert receivers.dtype == np.int64 and senders.dtype == np.int64
             assert receivers.tolist() == want_receivers
             assert senders.tolist() == want_senders
             assert np.all(np.diff(receivers) > 0)
 
 
-@pytest.mark.parametrize("shape", [(0,), (5,), (7,), (6, 1), ()])
+def _slot_by_slot(g, policy, task, data, test, iterations, step_size, seed):
+    """train's run replayed one slot at a time: channel, decode, step, checkpoint."""
+    rng = np.random.default_rng(seed)
+    epsilon = default_epsilon(g)
+    gradient = task.gradient(data.features, data.labels)
+    evaluate = task.evaluator(test.features, test.labels)
+    params = np.zeros((g.n, task.dim))
+    losses, accs, consensus = [], [], []
+    for _ in range(iterations):
+        receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
+        params = mix_slot(params - step_size * gradient(params), receivers, senders, epsilon)
+        loss, acc = evaluate(params)
+        losses.append(loss)
+        accs.append(acc)
+        consensus.append(((params - params.mean(axis=0)) ** 2).sum())
+    return np.array(losses), np.array(accs), np.array(consensus)
+
+
+@pytest.mark.parametrize("size", ["small", "large", "one_slot_blocks"])
+def test_block_run_equals_slot_by_slot_replay(size):
+    if size == "small":
+        g, task = erdos_renyi(20, 0.3, seed=2), classification_task()
+        data, test = generate_classification_data(20, 15, seed=4)
+    else:
+        n, edge_prob = (400, 0.025) if size == "large" else (2000, 0.01)
+        g, task = erdos_renyi(n, edge_prob, seed=2), regression_task()
+        data, test = generate_regression_data(n, 15, seed=4)
+    block = max(1, DECODE_BLOCK_BYTES // (8 * (g.arcs[0].size + g.n)))
+    assert {"small": block > 100, "large": 1 < block < 10, "one_slot_blocks": block == 1}[size]
+    iterations = 2 * block + 3  # with blocks longer than one slot, the last block is short
+    policy = AccessPolicy.uniform(g.n, 0.2)
+    trace = train(g, policy, task, data, test, iterations=iterations, step_size=0.05, seed=7, checkpoint_every=1)
+    losses, accs, consensus = _slot_by_slot(g, policy, task, data, test, iterations, 0.05, 7)
+    assert np.array_equal(trace.iterations, np.arange(1, iterations + 1))
+    assert np.array_equal(trace.avg_test_loss, losses)
+    assert np.array_equal(trace.accuracy, accs, equal_nan=True)
+    assert np.array_equal(trace.consensus_distance, consensus)
+
+
+@pytest.mark.parametrize("shape", [(0,), (5,), (7,), (6, 1), (), (2, 5), (0, 7), (1, 6, 1), (2, 2, 6)])
 def test_decoders_reject_a_wrongly_shaped_broadcast_vector(shape):
     g = DECODER_GRAPHS["star"]
     b = np.zeros(shape, dtype=np.int64)
@@ -232,6 +305,14 @@ def test_decoders_reject_a_wrongly_shaped_broadcast_vector(shape):
         decoding_links(g, b)
     with pytest.raises(DimensionError, match="does not match n=6"):
         link_decoder(g)(b)
+
+
+def test_decoding_links_takes_one_vector_only():
+    g = DECODER_GRAPHS["star"]
+    with pytest.raises(DimensionError, match=r"\(1, 6\) does not match n=6"):
+        decoding_links(g, np.zeros((1, 6), dtype=np.int64))
+    with pytest.raises(DimensionError):
+        transmission_matrix(g, np.zeros((2, 6), dtype=np.int64))
 
 
 def test_train_rejects_data_not_stacked_over_the_graph():
