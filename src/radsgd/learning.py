@@ -171,9 +171,12 @@ def classification_task() -> TaskSpec:
     drawn near the origin are generally not separable by hyperplanes
     through the origin.
 
-    Internally the class scores are laid out (..., N_CLASSES, m), class axis
-    ahead of the sample axis: the softmax reductions then run over an outer
-    axis, which numpy does far faster than over a short innermost one.
+    Internally loss and predict lay the class scores out (..., N_CLASSES,
+    m), class axis ahead of the sample axis: the softmax reductions then
+    run over an outer axis, which numpy does far faster than over a short
+    innermost one. The bound gradient goes further and stores them
+    class-major, (N_CLASSES, ..., m), so its reductions run over axis 0
+    across whole (..., m) planes of the stacked nodes.
     """
     rows = FEATURE_DIM + 1
     classes = np.arange(N_CLASSES)[:, np.newaxis]
@@ -200,14 +203,22 @@ def classification_task() -> TaskSpec:
         inputs = np.ascontiguousarray(np.swapaxes(features, -1, -2))  # (..., rows, m)
         onehot = (labels[..., np.newaxis, :] == classes).astype(float)  # (..., N_CLASSES, m)
         label_term = inputs @ np.swapaxes(onehot, -1, -2) / size  # (..., rows, N_CLASSES)
+        # The scores are stored class-major, (N_CLASSES, ..., m), so the
+        # softmax reduces over axis 0: elementwise passes over whole
+        # (..., m) planes instead of short rows of m samples. The products
+        # see them through two transposed views, fixed here for the data's
+        # leading node axes: (..., N_CLASSES, m) and (..., m, N_CLASSES).
+        nodes = tuple(range(1, labels.ndim))
+        as_scores, as_probs = nodes + (0, labels.ndim), nodes + (labels.ndim, 0)
 
         def bound(params):
             w = params.reshape(params.shape[:-1] + (rows, N_CLASSES))
-            z = np.swapaxes(w, -1, -2) @ inputs  # (..., N_CLASSES, m)
-            z -= z.max(axis=-2, keepdims=True)
+            z = np.empty((N_CLASSES,) + params.shape[:-1] + (size,))
+            np.matmul(np.swapaxes(w, -1, -2), inputs, out=z.transpose(as_scores))
+            z -= z.max(axis=0)
             np.exp(z, out=z)
-            z /= z.sum(axis=-2, keepdims=True)
-            grad = inputs @ np.swapaxes(z, -1, -2)
+            z /= z.sum(axis=0)
+            grad = inputs @ z.transpose(as_probs)
             grad /= size
             grad -= label_term
             return grad.reshape(grad.shape[:-2] + (-1,))
@@ -223,26 +234,28 @@ def classification_task() -> TaskSpec:
         # Position of each sample's label score in a flattened (N_CLASSES, T) block.
         label_at = labels * size + np.arange(size)
         # predict's argmax takes the first of tied maxima, so a sample is
-        # wrong when an earlier class scores >= its label or a later one >.
+        # right when its label scores the top and no earlier class reaches it.
         earlier = classes < labels  # (N_CLASSES, T)
         block = max(1, EVAL_BLOCK_BYTES // (N_CLASSES * size * 8))
 
         def evaluate(params):
             weights = np.swapaxes(params.reshape(-1, rows, N_CLASSES), -1, -2)
-            total, wrong = 0.0, 0
+            # Each node's test losses are summed in its own row, so the
+            # block length does not group the float sums.
+            losses, right = np.empty(weights.shape[0]), 0
             for start in range(0, weights.shape[0], block):
                 z = weights[start:start + block] @ inputs  # (k, N_CLASSES, T)
                 picked = np.take(z.reshape(z.shape[0], -1), label_at, axis=1)  # (k, T)
-                beaten = z > picked[:, np.newaxis]
-                beaten |= earlier & (z == picked[:, np.newaxis])
-                wrong += np.count_nonzero(beaten.any(axis=-2))
-                # -log softmax of the label: log(sum exp(z - top)) + (top - z_label).
                 top = z.max(axis=-2)
+                ties = z == top[:, np.newaxis]
+                ties &= earlier
+                right += np.count_nonzero((picked == top) & ~ties.any(axis=-2))
+                # -log softmax of the label: log(sum exp(z - top)) + (top - z_label).
                 z -= top[:, np.newaxis]
                 np.exp(z, out=z)
-                total += float(np.sum(np.log(z.sum(axis=-2)) + (top - picked)))
+                np.sum(np.log(z.sum(axis=-2)) + (top - picked), axis=-1, out=losses[start:start + block])
             count = weights.shape[0] * size
-            return total / count, (count - wrong) / count
+            return float(losses.sum()) / count, right / count
 
         return evaluate
 
@@ -422,7 +435,8 @@ def train(
     Per iteration: sample broadcast decisions, find the receivers that
     decode a packet and their senders (with mac.link_decoder, bound to g
     once per run), and apply one adapt-then-combine
-    step in which only those receivers' rows mix (see mixing.mix_slot).
+    step in which only those receivers' rows mix (see mixing.mix_slot);
+    in a slot that decodes no link the half-steps are the new params.
     All nodes start from the zero vector. data stacks the nodes' local
     samples, (n, m, f) / (n, m), so one gradient call per slot serves every
     node; test is the shared (T, f) / (T,) test set, to which the task's
@@ -490,8 +504,11 @@ def train(
             for t, (receivers, senders) in enumerate(decode(np.array(decisions)), start=first):
                 if minibatch:
                     gradient = task.gradient(*batches[t - first])
+                # A slot that decodes no link mixes with the identity: the
+                # half-steps, a new array, are the new params as they are.
                 params = dsgd_step(
-                    params, step_size, lambda z: mix_slot(z, receivers, senders, epsilon), gradient
+                    params, step_size,
+                    lambda z: mix_slot(z, receivers, senders, epsilon) if receivers.size else z, gradient,
                 )
                 # NaN fails the comparison, so one pass catches NaN and +-inf too.
                 if not (np.abs(params).max() <= DIVERGENCE_LIMIT):

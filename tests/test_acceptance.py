@@ -21,6 +21,7 @@ from radsgd.mac import (
     AccessPolicy,
     brute_force_expected_throughput,
     expected_throughput,
+    link_decoder,
     link_success_prob,
     optimal_access_probability,
     sample_broadcast,
@@ -139,14 +140,19 @@ def test_c04_throughput_matches_enumeration():
 
 def test_c05_link_success_monte_carlo():
     g = ring(20)
-    slots = 10**5
+    slots, chunk = 10**5, 10**4
     worst = 0.0
     for idx, p in enumerate((0.2, 1 / 3, 0.5)):
         policy = AccessPolicy.uniform(20, p)
         rng = np.random.default_rng(1000 + idx)
+        decode = link_decoder(g)
         counts = np.zeros((20, 20))
-        for _ in range(slots):
-            counts += transmission_matrix(g, sample_broadcast(policy, rng))
+        # The same sample_broadcast calls in the same order, decoded a
+        # chunk of slots at a time; each decoded link counts once.
+        for _ in range(slots // chunk):
+            links = decode(np.array([sample_broadcast(policy, rng) for _ in range(chunk)]))
+            receivers, senders = (np.concatenate(side) for side in zip(*links))
+            counts += np.bincount(receivers * 20 + senders, minlength=400).reshape(20, 20)
         freq = counts / slots
         for i in range(20):
             for j in g.neighbors(i):

@@ -42,10 +42,18 @@ def test_stacked_calls_equal_per_node_calls(name):
     want_loss = np.array([task.loss(params[i], features[i], labels[i]) for i in range(n)])
     want_grad = np.stack([task.gradient(features[i], labels[i])(params[i]) for i in range(n)])
     np.testing.assert_allclose(loss, want_loss, rtol=1e-14, atol=1e-15)
-    np.testing.assert_allclose(grad, want_grad, rtol=1e-14, atol=1e-15)
+    assert np.array_equal(grad, want_grad)
     if task.predict is not None:
         want = np.stack([task.predict(params[i], features[i]) for i in range(n)])
         assert np.array_equal(task.predict(params, features), want)
+    # Two leading node axes: each (i, j) node as its own call.
+    params, features, labels = params[:6].reshape(2, 3, -1), features[:6].reshape(2, 3, m, f), labels[:6].reshape(2, 3, m)
+    grad = task.gradient(features, labels)(params)
+    assert grad.shape == (2, 3, task.dim)
+    want_grad = np.stack([
+        np.stack([task.gradient(features[i, j], labels[i, j])(params[i, j]) for j in range(3)]) for i in range(2)
+    ])
+    assert np.array_equal(grad, want_grad)
 
 
 def _per_call_gradient(name, params, features, labels):
@@ -276,8 +284,17 @@ def _slot_by_slot(g, policy, task, data, test, iterations, step_size, seed):
     return np.array(losses), np.array(accs), np.array(consensus)
 
 
-@pytest.mark.parametrize("size", ["small", "large", "one_slot_blocks"])
-def test_block_run_equals_slot_by_slot_replay(size):
+@pytest.mark.parametrize("size, p", [
+    pytest.param("small", 0.2, id="small"),
+    pytest.param("large", 0.2, id="large"),
+    pytest.param("one_slot_blocks", 0.2, id="one_slot_blocks"),
+    # No slot decodes a link: train passes the half-steps through unmixed.
+    pytest.param("small", 0.0, id="small-p0"),
+    pytest.param("small", 1.0, id="small-p1"),
+    pytest.param("large", 0.0, id="large-p0"),
+    pytest.param("large", 1.0, id="large-p1"),
+])
+def test_block_run_equals_slot_by_slot_replay(size, p):
     if size == "small":
         g, task = erdos_renyi(20, 0.3, seed=2), classification_task()
         data, test = generate_classification_data(20, 15, seed=4)
@@ -288,13 +305,58 @@ def test_block_run_equals_slot_by_slot_replay(size):
     block = max(1, DECODE_BLOCK_BYTES // (8 * (g.arcs[0].size + g.n)))
     assert {"small": block > 100, "large": 1 < block < 10, "one_slot_blocks": block == 1}[size]
     iterations = 2 * block + 3  # with blocks longer than one slot, the last block is short
-    policy = AccessPolicy.uniform(g.n, 0.2)
+    policy = AccessPolicy.uniform(g.n, p)
     trace = train(g, policy, task, data, test, iterations=iterations, step_size=0.05, seed=7, checkpoint_every=1)
     losses, accs, consensus = _slot_by_slot(g, policy, task, data, test, iterations, 0.05, 7)
     assert np.array_equal(trace.iterations, np.arange(1, iterations + 1))
     assert np.array_equal(trace.avg_test_loss, losses)
     assert np.array_equal(trace.accuracy, accs, equal_nan=True)
     assert np.array_equal(trace.consensus_distance, consensus)
+
+
+def _assert_same_trace(got, want):
+    assert np.array_equal(got.iterations, want.iterations)
+    assert np.array_equal(got.avg_test_loss, want.avg_test_loss)
+    assert np.array_equal(got.accuracy, want.accuracy, equal_nan=True)
+    assert np.array_equal(got.consensus_distance, want.consensus_distance)
+
+
+def test_isolated_runs_at_p0_and_p1_are_equal():
+    # Nobody broadcasts at p = 0 and everybody does at p = 1, so no link is
+    # decoded in either run: both are local gradient descent at every node.
+    g, task = erdos_renyi(20, 0.3, seed=2), classification_task()
+    data, test = generate_classification_data(20, 15, seed=4)
+    p0, p1 = (
+        train(g, AccessPolicy.uniform(20, p), task, data, test, iterations=60, step_size=0.05, seed=7, checkpoint_every=5)
+        for p in (0.0, 1.0)
+    )
+    _assert_same_trace(p1, p0)
+    assert p0.consensus_distance[-1] > 0.0
+
+
+@pytest.mark.parametrize("run", ["classification", "classification_batch8", "regression"])
+def test_block_constants_leave_the_trace_unchanged(monkeypatch, run):
+    # EVAL_BLOCK_BYTES and DECODE_BLOCK_BYTES only set how much work one
+    # numpy call does. Over these ranges the evaluator holds 1, 2 or all 20
+    # nodes per block, and a decoder call holds 1 slot, some or all 250.
+    g = erdos_renyi(20, 0.3, seed=2)
+    if run == "regression":
+        task, (data, test) = regression_task(), generate_regression_data(20, 15, seed=4)
+    else:
+        task, (data, test) = classification_task(), generate_classification_data(20, 15, seed=4)
+    batch_size = 8 if run == "classification_batch8" else None
+    policy = AccessPolicy.uniform(20, 0.2)
+    traces = []
+    for eval_bytes in (1 << 12, 1 << 17, 1 << 22):
+        for decode_bytes in (1 << 9, 1 << 18, 1 << 24):
+            monkeypatch.setattr(learning, "EVAL_BLOCK_BYTES", eval_bytes)
+            monkeypatch.setattr(learning, "DECODE_BLOCK_BYTES", decode_bytes)
+            traces.append(train(
+                g, policy, task, data, test,
+                iterations=250, step_size=0.05, batch_size=batch_size, seed=7, checkpoint_every=10,
+            ))
+    for trace in traces[1:]:
+        _assert_same_trace(trace, traces[0])
 
 
 @pytest.mark.parametrize("shape", [(0,), (5,), (7,), (6, 1), (), (2, 5), (0, 7), (1, 6, 1), (2, 2, 6)])
