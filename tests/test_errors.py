@@ -12,7 +12,7 @@ from radsgd.learning import (
     train,
 )
 from radsgd.mac import AccessPolicy
-from radsgd.mixing import consensus_rate_scan, spectral_optimal_probability
+from radsgd.mixing import consensus_rate, consensus_rate_scan, spectral_optimal_probability
 from radsgd.topology import complete, erdos_renyi, from_edge_list, ring
 
 
@@ -36,6 +36,11 @@ CASES = {
     "optimum_grid_step_zero": (DomainError, lambda: spectral_optimal_probability(ring(4), 0.25, grid_step=0)),
     "optimum_grid_step_negative": (DomainError, lambda: spectral_optimal_probability(ring(4), 0.25, grid_step=-0.1)),
     "optimum_grid_step_nan": (DomainError, lambda: spectral_optimal_probability(ring(4), 0.25, grid_step=np.nan)),
+    "rate_p_array_nan": (DomainError, lambda: consensus_rate(ring(4), 0.25, np.array([0.2, np.nan]))),
+    "rate_p_array_inf": (DomainError, lambda: consensus_rate(ring(4), 0.25, np.array([0.2, np.inf]))),
+    "rate_p_array_negative_inf": (DomainError, lambda: consensus_rate(ring(4), 0.25, np.array([-np.inf, 0.2]))),
+    "rate_p_array_above_one": (DomainError, lambda: consensus_rate(ring(4), 0.25, np.array([0.2, 1.5]))),
+    "rate_p_array_negative": (DomainError, lambda: consensus_rate(ring(4), 0.25, np.array([[0.2], [-0.1]]))),
     "dataset_nan_feature": (DomainError, lambda: LocalDataset(np.full((2, 1), np.nan), np.zeros(2))),
     "dataset_inf_label": (DomainError, lambda: LocalDataset(np.zeros((2, 1)), np.array([0.0, np.inf]))),
     "regression_samples_bytes": (DimensionError, lambda: generate_regression_data(4, 3 * 10 ** 18, 0)),

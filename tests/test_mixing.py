@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radsgd import mixing
 from radsgd.errors import DimensionError, DomainError
 from radsgd.mac import AccessPolicy, optimal_access_probability, sample_broadcast, transmission_matrix
 from radsgd.mixing import (
@@ -234,6 +235,176 @@ def test_consensus_rate_one_node_is_zero():
     assert consensus_rate(from_edge_list("n 1\n"), 0.5, 0.3) == 0.0
 
 
+# Known spectra for the Lanczos solver behind consensus_rate. ULP is the
+# spacing of floats at 1, near which every rate lies.
+ULP = float(np.spacing(1.0))
+GRID = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-9, 0.1684, 0.9, 0.999, 1.0 - 1e-6]])
+
+
+def _star(n):
+    return from_edge_list(f"n {n}\n" + "".join(f"0 {i}\n" for i in range(1, n)))
+
+
+def _path(n):
+    return from_edge_list(f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+
+
+def _lollipop(clique, tail):
+    edges = [f"{i} {j}\n" for i in range(clique) for j in range(i + 1, clique)]
+    edges += [f"{i} {i + 1}\n" for i in range(clique - 1, clique + tail - 1)]
+    return from_edge_list(f"n {clique + tail}\n" + "".join(edges))
+
+
+def _dense_rates(g, eps, ps):
+    """1 - eps * lambda_2(H) from one dense eigvalsh per point (1 at p in {0, 1})."""
+    rates = []
+    for p in ps:
+        root_s = np.sqrt(p * (1.0 - p) ** g.degrees)
+        eig = np.linalg.eigvalsh(root_s[:, None] * g.laplacian * root_s[None, :])
+        rates.append(1.0 if p in (0.0, 1.0) else 1.0 - eps * eig[1])
+    return np.array(rates)
+
+
+def _closed_form_rates(eps, ps, lambda_2):
+    return np.where((ps > 0.0) & (ps < 1.0), 1.0 - eps * lambda_2, 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 30, 300])
+def test_consensus_rate_complete_graph_closed_form(n):
+    # L = n I - J, S = p (1-p)^{n-1} I, so lambda_2(H) = n p (1-p)^{n-1}.
+    g, eps = complete(n), 1.0 / n
+    want = _closed_form_rates(eps, GRID, n * GRID * (1.0 - GRID) ** (n - 1))
+    assert np.abs(consensus_rate(g, eps, GRID) - want).max() <= 4 * ULP
+
+
+@pytest.mark.parametrize("n", [3, 9, 50, 300])
+def test_consensus_rate_star_closed_form(n):
+    # The leaf differences are eigenvectors of H with eigenvalue
+    # S_leaf = p (1-p); the one other nonzero eigenvalue is larger. Past
+    # p = 0.5 the two lie within 1e-8 of each other and the centre's mass
+    # exceeds the leaves' by many orders of magnitude.
+    g = _star(n)
+    eps = default_epsilon(g)
+    want = _closed_form_rates(eps, GRID, GRID * (1.0 - GRID))
+    assert np.abs(consensus_rate(g, eps, GRID) - want).max() <= 4 * ULP
+    for p in (0.1, 0.9, 1.0 - 1e-9):
+        assert abs(consensus_rate(g, eps, p) - (1.0 - eps * p * (1.0 - p))) <= 4 * ULP
+
+
+@pytest.mark.parametrize("n", [5, 12, 101, 1000])
+def test_consensus_rate_ring_closed_form(n):
+    # lambda_2(H) = p (1-p)^2 (2 - 2 cos(2 pi / n)) = p (1-p)^2 4 sin^2(pi / n).
+    g, eps = ring(n), 1 / 3
+    want = _closed_form_rates(eps, GRID, GRID * (1.0 - GRID) ** 2 * 4.0 * np.sin(np.pi / n) ** 2)
+    assert np.abs(consensus_rate(g, eps, GRID) - want).max() <= 4 * ULP
+
+
+DENSE_CASES = {
+    **{f"er20_seed{seed}": (20, 0.3, seed) for seed in (0, 1, 2)},
+    **{f"er100_seed{seed}": (100, 0.1, seed) for seed in (0, 1, 2)},
+    **{f"er400_seed{seed}": (400, 0.025, seed) for seed in (0, 1)},
+    "lollipop": _lollipop(10, 10),
+    "path": _path(40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CASES))
+def test_consensus_rate_matches_dense_eigvalsh(name):
+    case = DENSE_CASES[name]
+    g = erdos_renyi(*case) if isinstance(case, tuple) else case
+    eps = default_epsilon(g)
+    ps = GRID if g.n < 400 else GRID[::2]
+    assert np.abs(consensus_rate(g, eps, ps) - _dense_rates(g, eps, ps)).max() <= 4 * ULP
+
+
+def test_consensus_rate_near_a_crossing_of_lambda_2_and_lambda_3():
+    # On this graph lambda_2(H) and lambda_3(H) come within 1.2 % of each
+    # other near p = 0.1978 (an avoided crossing found by a fine scan).
+    g = erdos_renyi(30, 0.2, seed=2)
+    eps = default_epsilon(g)
+    ps = 0.1978 + np.array([-1e-3, -1e-5, 0.0, 1e-5, 1e-3])
+    root_s = np.sqrt(0.1978 * 0.8022 ** g.degrees)
+    eig = np.linalg.eigvalsh(root_s[:, None] * g.laplacian * root_s[None, :])
+    assert eig[2] - eig[1] < 0.012 * eig[1]
+    assert np.abs(consensus_rate(g, eps, ps) - _dense_rates(g, eps, ps)).max() <= 4 * ULP
+
+
+@pytest.mark.parametrize("p", [1e-12, 1.0 - 1e-9])
+def test_consensus_rate_graded_extremes_stay_finite(p):
+    g, eps = complete(300), 1.0 / 300
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rate = consensus_rate(g, eps, p)
+        star_rate = consensus_rate(_star(300), default_epsilon(_star(300)), p)
+    assert abs(rate - (1.0 - eps * 300 * p * (1.0 - p) ** 299)) <= 4 * ULP
+    assert abs(star_rate - (1.0 - default_epsilon(_star(300)) * p * (1.0 - p))) <= 4 * ULP
+
+
+def test_consensus_rate_endpoints_and_one_node_are_exact():
+    g = erdos_renyi(20, 0.3, seed=0)
+    assert consensus_rate(g, default_epsilon(g), 0.0) == 1.0
+    assert consensus_rate(g, default_epsilon(g), 1.0) == 1.0
+    rates = consensus_rate(g, default_epsilon(g), np.array([0.0, 0.3, 1.0]))
+    assert rates[0] == 1.0 and rates[2] == 1.0 and rates[1] < 1.0
+    one = from_edge_list("n 1\n")
+    assert np.array_equal(consensus_rate(one, 0.5, np.array([0.0, 0.3, 1.0])), np.zeros(3))
+
+
+def test_consensus_rate_keeps_the_shape_of_p():
+    g = ring(8)
+    assert isinstance(consensus_rate(g, 1 / 3, 0.2), float)
+    assert isinstance(consensus_rate(g, 1 / 3, np.float64(0.2)), float)
+    ps = np.array([[0.1, 0.2], [0.3, 0.4]])
+    rates = consensus_rate(g, 1 / 3, ps)
+    assert rates.shape == (2, 2)
+    assert np.abs(rates - _dense_rates(g, 1 / 3, ps.ravel()).reshape(2, 2)).max() <= 4 * ULP
+
+
+def test_consensus_rate_repeats_bit_for_bit():
+    g = erdos_renyi(100, 0.1, seed=4)
+    eps = default_epsilon(g)
+    assert np.array_equal(consensus_rate(g, eps, GRID), consensus_rate(g, eps, GRID))
+    assert consensus_rate(g, eps, 0.37) == consensus_rate(g, eps, 0.37)
+
+
+def test_lanczos_breaks_down_at_once_on_a_complete_graph(monkeypatch):
+    # On the zero-sum vectors the operator of a complete graph is a multiple
+    # of the identity, so beta_1 is rounding noise: a breakdown at step 1.
+    steps = []
+    solve = mixing._top_tridiagonal_eigenvalues
+
+    def counting(alpha, beta):
+        steps.append(alpha.shape[1])
+        return solve(alpha, beta)
+
+    monkeypatch.setattr(mixing, "_top_tridiagonal_eigenvalues", counting)
+    consensus_rate(complete(50), 1 / 50, GRID)
+    assert steps == [1]
+
+
+def test_lanczos_block_bytes_move_no_rate(monkeypatch):
+    # One probability per block and one tridiagonal matrix per eigvalsh call.
+    g = erdos_renyi(100, 0.1, seed=5)
+    eps = default_epsilon(g)
+    wide = consensus_rate(g, eps, GRID)
+    monkeypatch.setattr(mixing, "LANCZOS_BLOCK_BYTES", 1)
+    assert np.abs(consensus_rate(g, eps, GRID) - wide).max() <= 2 * ULP
+
+
+def test_consensus_rate_scan_makes_one_consensus_rate_call(monkeypatch):
+    # Profilers wrap the module-global name; the whole grid must pass through it.
+    calls = []
+    solve = mixing.consensus_rate
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(mixing, "consensus_rate", counting)
+    ps, rates = consensus_rate_scan(ring(10), 1 / 3, 0.01)
+    assert len(calls) == 1 and len(ps) == 101
+    assert np.array_equal(rates, solve(ring(10), 1 / 3, ps))
+
+
 @st.composite
 def connected_graphs(draw):
     """A random spanning tree on up to 14 nodes plus random extra edges."""
@@ -254,7 +425,10 @@ def test_lambda_n_end_never_binds(g, gap, p):
     root_s = np.sqrt(p * (1.0 - p) ** g.degrees)
     eig = np.linalg.eigvalsh(root_s[:, None] * g.laplacian * root_s[None, :])
     assert eps * eig[-1] < 0.5
-    assert consensus_rate(g, eps, p) == max(abs(1.0 - eps * eig[1]), abs(1.0 - eps * eig[-1]))
+    # Lanczos and the dense solver round differently: K2 at p = 0.5 gives
+    # 0.6249999999999999 against 0.625.
+    want = max(abs(1.0 - eps * eig[1]), abs(1.0 - eps * eig[-1]))
+    assert abs(consensus_rate(g, eps, p) - want) <= 2 * np.spacing(want)
 
 
 def test_consensus_rate_scan_grid_ends_at_one():
