@@ -1,10 +1,11 @@
 """Command-line interface: analyze, sweep, train, topology.
 
 Every subcommand reads a flat key=value config file and writes its outputs
-into --out. Exit codes: 0 on success, 1 for configuration problems (bad
-flags, malformed config or edge-list files, missing files), 2 for runtime
-or numeric failures (divergent training, exhausted graph generation, I/O
-errors while writing results, arrays too large to allocate).
+into --out; sweep also takes --parallel. Exit codes: 0 on success, 1 for
+configuration problems (bad flags, malformed config or edge-list files,
+missing files), 2 for runtime or numeric failures (divergent training,
+exhausted graph generation, I/O errors while writing results, arrays too
+large to allocate).
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="path to a key=value config file")
-        sub.add_argument("--out", default=None, help="output directory (default: config's out, else .)")
-        sub.add_argument("--parallel", type=int, default=1, help="worker processes")
+        sub.add_argument("--out", dest="out_dir", metavar="DIR", default=".", help="output directory (default: .)")
+        if name == "sweep":
+            sub.add_argument("--parallel", type=int, default=1, help="worker processes")
     return parser
 
 
@@ -53,17 +55,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.parallel < 1:
-            raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
-        config = parse_config(args.config)
-        out_dir = args.out or config.out or "."
-        command = _COMMANDS[args.command][0]
-        command(config, out_dir=out_dir, parallel=args.parallel)
+        # The flags other than --config are the command's keyword arguments.
+        options = vars(args)
+        command = _COMMANDS[options.pop("command")][0]
+        if options.get("parallel", 1) < 1:
+            raise ConfigError(f"--parallel must be >= 1, got {options['parallel']}")
+        command(parse_config(options.pop("config")), **options)
     except (ConfigError, EdgeListError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RadsgdError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A bare MemoryError has an empty message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

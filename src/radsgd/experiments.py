@@ -23,8 +23,9 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import ConfigError, DimensionError, DivergenceError, DomainError
 from .learning import (
+    checkpoint_interval,
     classification_task,
     generate_classification_data,
     generate_regression_data,
@@ -33,10 +34,15 @@ from .learning import (
 )
 from .mac import AccessPolicy, expected_throughput, optimal_access_probability
 from .mixing import check_epsilon, consensus_rate_scan, default_epsilon, refine_spectral_minimum
-from .topology import complete, erdos_renyi, from_edge_list, ring, to_edge_list
+from .topology import complete, erdos_renyi, from_edge_list, physical_memory, ring, to_edge_list
 
 # Distinguishes the dataset stream from per-run streams under one master seed.
 DATA_STREAM_TAG = 0xDA7A
+
+# Bytes a sweep holds per CSV row until it writes them, with a margin: its
+# rows peak at about 440 bytes each, and each cell's job, outcome and trace
+# at about 740 more, which the size check counts as two rows.
+SWEEP_ROW_BYTES = 640
 
 _TOPOLOGIES = ("ring", "complete", "erdos_renyi", "edge_list")
 _TASKS = ("regression", "classification")
@@ -47,9 +53,7 @@ class ExperimentConfig:
     """Validated contents of one flat key=value config file.
 
     The fields are the config schema. A key is its field's name, except p,
-    which sets probabilities; the annotation picks how the value parses;
-    a field whose metadata has auto also takes the value auto, which
-    leaves it None.
+    which sets probabilities; the annotation picks how the value parses.
     """
 
     topology: str
@@ -59,16 +63,15 @@ class ExperimentConfig:
     edge_list: str | None = None
     task: str | None = None
     eta: float = 0.01
-    epsilon: float | None = dataclasses.field(default=None, metadata={"auto": True})
+    epsilon: float | None = None
     iterations: int = 200
     batch_size: int | None = None
     probabilities: tuple[float, ...] = ()
     replicates: int = 3
     seed: int = 0
     samples_per_node: int = 100
-    checkpoint_every: int | None = dataclasses.field(default=None, metadata={"auto": True})
+    checkpoint_every: int | None = None
     grid_step: float = 0.001
-    out: str | None = None
     plots: bool = False
 
 
@@ -111,10 +114,9 @@ _PARSERS = {
     "int": _to_int, "float": _to_float, "bool": _to_bool,
     "str": lambda key, value: value, "tuple[float, ...]": _to_float_list,
 }
-# Config key -> (field name, parse rule, takes auto), read off ExperimentConfig.
+# Config key -> (field name, parse rule), read off ExperimentConfig.
 _SCHEMA = {
-    "p" if f.name == "probabilities" else f.name:
-        (f.name, _PARSERS[f.type.removesuffix(" | None")], f.metadata.get("auto", False))
+    "p" if f.name == "probabilities" else f.name: (f.name, _PARSERS[f.type.removesuffix(" | None")])
     for f in dataclasses.fields(ExperimentConfig)
 }
 
@@ -160,8 +162,8 @@ def parse_config(path: str) -> ExperimentConfig:
             f"topology must be one of {', '.join(_TOPOLOGIES)}, got {kwargs['topology']!r}"
         )
     for key, value in pairs.items():
-        name, parse, auto = _SCHEMA[key]
-        kwargs[name] = None if auto and value.lower() == "auto" else parse(key, value)
+        name, parse = _SCHEMA[key]
+        kwargs[name] = parse(key, value)
     config = ExperimentConfig(**kwargs)
     _validate(config)
     return config
@@ -228,14 +230,6 @@ def build_graph(config: ExperimentConfig):
     return g
 
 
-def _build_task(config: ExperimentConfig):
-    if config.task is None:
-        raise ConfigError("task is required for this command (regression or classification)")
-    if config.task == "regression":
-        return regression_task()
-    return classification_task()
-
-
 def build_datasets(config: ExperimentConfig, n: int):
     """The stacked node data plus the shared test set, from the dedicated data stream."""
     data_seed = np.random.SeedSequence([config.seed, DATA_STREAM_TAG])
@@ -276,22 +270,11 @@ def _resolve_epsilon(config: ExperimentConfig, g) -> float:
         raise ConfigError(str(exc)) from None
 
 
-def _worker_count(parallel: int, jobs: int) -> int:
-    """Pool size for --parallel: no more workers than jobs or CPUs.
-
-    ProcessPoolExecutor starts all its workers up front, whatever the
-    number of jobs, so an unbounded --parallel would fork that many
-    processes.
-    """
-    return min(parallel, jobs, os.cpu_count() or 1)
-
-
-def cmd_analyze(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -> dict:
+def cmd_analyze(config: ExperimentConfig, out_dir: str = ".") -> dict:
     """Evaluate throughput and consensus rate over the p grid; locate both optima.
 
     Writes analyze.csv (columns p,expected_throughput,consensus_rate) and
-    returns the two optimizers and their gap. The scan runs in this
-    process; parallel is accepted and ignored, as by cmd_train.
+    returns the two optimizers and their gap.
     """
     g = build_graph(config)
     epsilon = _resolve_epsilon(config, g)
@@ -339,7 +322,9 @@ def _build(config: ExperimentConfig):
     not. cmd_sweep and cmd_train clear the cache first, so an edge-list
     file is read as it is when the command starts.
     """
-    task = _build_task(config)
+    if config.task is None:
+        raise ConfigError("task is required for this command (regression or classification)")
+    task = regression_task() if config.task == "regression" else classification_task()
     g = build_graph(config)
     epsilon = _resolve_epsilon(config, g)
     data, test = build_datasets(config, g.n)
@@ -384,14 +369,28 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
 
     Rows are ordered by (position of p in the grid, replicate, iteration).
     Runs that diverge are recorded in sweep_errors.csv and the sweep
-    continues; successful rows are unaffected.
+    continues; successful rows are unaffected. The sweep holds every run's
+    rows until it writes them, so one that would exceed physical memory
+    fails before any job is built.
     """
     if not config.probabilities:
         raise ConfigError("p is required for sweep (comma-separated access probabilities)")
     _build.cache_clear()
     _build(config)  # fail fast on a config error; serial cells and forked workers reuse it
+    cells = len(config.probabilities) * config.replicates
+    # A run records each multiple of the interval and its last iteration.
+    checkpoints = -(-config.iterations // checkpoint_interval(config.iterations, config.checkpoint_every))
+    nbytes = cells * (checkpoints + 2) * SWEEP_ROW_BYTES
+    physical = physical_memory()
+    if nbytes > physical:
+        raise DimensionError(
+            f"a sweep of {cells} runs of {checkpoints} checkpoint(s) holds about {nbytes / 2 ** 30:.3g} GiB "
+            f"of results, more than the {physical / 2 ** 30:.3g} GiB of physical memory"
+        )
     jobs = [(config, p, replicate) for p in config.probabilities for replicate in range(config.replicates)]
-    workers = _worker_count(parallel, len(jobs))
+    # ProcessPoolExecutor starts all its workers up front, whatever the
+    # number of jobs, so an unbounded --parallel would fork that many.
+    workers = min(parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         # Imported here so serial commands never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -450,7 +449,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
     }
 
 
-def cmd_train(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -> dict:
+def cmd_train(config: ExperimentConfig, out_dir: str = ".") -> dict:
     """Single training run at one access probability; writes train.csv."""
     if len(config.probabilities) != 1:
         raise ConfigError(
@@ -478,7 +477,7 @@ def cmd_train(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
     return {"csv_path": csv_path, "trace": trace}
 
 
-def cmd_topology(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -> dict:
+def cmd_topology(config: ExperimentConfig, out_dir: str = ".") -> dict:
     """Materialize the configured graph: edge-list file plus a spectrum report."""
     g = build_graph(config)
     lap = g.laplacian  # GraphError before any output when it exceeds physical memory

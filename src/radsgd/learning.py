@@ -425,6 +425,13 @@ def _evaluate(evaluate: Callable[[np.ndarray], tuple[float, float]], params: np.
     return loss, acc, consensus
 
 
+def checkpoint_interval(iterations: int, checkpoint_every: int | None) -> int:
+    """checkpoint_every, or by default 1 up to 1000 iterations and 10 beyond."""
+    if checkpoint_every is None:
+        return 1 if iterations <= 1000 else 10
+    return checkpoint_every
+
+
 def train(
     g: Graph, policy: AccessPolicy, task: TaskSpec, data: LocalDataset, test: LocalDataset, *,
     iterations: int, step_size: float = 0.01, epsilon: float | None = None, batch_size: int | None = None,
@@ -489,9 +496,7 @@ def train(
         slot_bytes += data.features[:, :batch_size].nbytes + data.labels[:, :batch_size].nbytes
     block = max(1, DECODE_BLOCK_BYTES // slot_bytes)
     params = np.zeros((g.n, task.dim))
-    every = checkpoint_every
-    if every is None:
-        every = 1 if iterations <= 1000 else 10
+    every = checkpoint_interval(iterations, checkpoint_every)
     checkpoints, losses, accs, consensus = [], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, iterations + 1, block):

@@ -57,13 +57,12 @@ def sample_broadcast(policy: AccessPolicy, rng: np.random.Generator) -> np.ndarr
     return (rng.random(policy.n) < policy.probs).astype(np.int64)
 
 
-def link_decoder(g: Graph) -> Callable[[np.ndarray], Links | list[Links]]:
-    """decoding_links bound to g, for one broadcast vector or a block of them.
+def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
+    """decoding_links bound to g, for a block of broadcast vectors.
 
-    The returned decode(b) maps a vector b (n,) to (receivers, senders), as
-    decoding_links does, and a block b (slots, n) of vectors, one slot per
-    row, to the list of those pairs, row by row. Both run one kernel over
-    a (slots, n) block; a vector is a block of one slot.
+    The returned decode(b) maps a block b (slots, n) of vectors, one slot
+    per row, to the list of their (receivers, senders) pairs, row by row,
+    as decoding_links gives them for each row.
 
     Node i's closed neighbourhood is laid out as one segment: an arc to
     each neighbour j, coded n + j, then an arc to itself, coded 2n. The
@@ -75,7 +74,7 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], Links | list[Links]]:
     each slot's arcs, and one nonzero over the (slots, n) values.
 
     An unchecked per-slot internal: the bound function checks only the
-    shape of b (DimensionError, as decoding_links does), and any entry
+    shape of b (DimensionError unless it is (slots, n)), and any entry
     other than 0 counts as a broadcast.
     """
     n = g.n
@@ -94,8 +93,10 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], Links | list[Links]]:
     codes[moved] = n + tails
     codes[own] = 2 * n
 
-    def links(bits: np.ndarray) -> Links:
-        """Positions slot * n + receiver, ascending, and senders of a (slots, n) block."""
+    def decode(b) -> list[Links]:
+        bits = np.asarray(b)
+        if bits.ndim != 2 or bits.shape[1] != n:
+            raise DimensionError(f"broadcast block shape {bits.shape} does not match n={n} as (slots, n)")
         # astype(bool) is b != 0, in one pass without a scalar operand; a
         # take along the arc axis returns the gather C-ordered, so the
         # product and the sums stay one contiguous pass per slot.
@@ -105,15 +106,8 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], Links | list[Links]]:
         # keeps exactly the values in [0, n).
         value = value.ravel()
         flat = (value.view(np.uint64) < n).nonzero()[0]
-        return flat, value[flat]
-
-    def decode(b):
-        bits = np.asarray(b)
-        if bits.ndim not in (1, 2) or bits.shape[-1] != n:
-            raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={n}")
-        if bits.ndim == 1:
-            return links(bits[np.newaxis])
-        flat, senders = links(bits)
+        senders = value[flat]
+        # flat holds the positions slot * n + receiver, ascending.
         bounds = np.searchsorted(flat, np.arange(0, bits.size + 1, n)).tolist()
         receivers = flat % n
         return [(receivers[lo:hi], senders[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
@@ -126,16 +120,16 @@ def decoding_links(g: Graph, b) -> Links:
 
     Receiver i decodes iff it is silent and exactly one of its neighbors
     broadcasts; that neighbor is its sender. Returns int64 (receivers,
-    senders), with receivers ascending. The one-shot form of
-    link_decoder(g)(b) for one vector b (n,): it binds in O(n + |E|), then
-    runs the decoder's kernel on a block of one slot, one gather and one
+    senders), with receivers ascending. The one-shot form of link_decoder
+    for one vector b (n,): it binds in O(n + |E|), then runs the
+    decoder's kernel on b as a block of one slot, one gather and one
     segmented sum over the 2|E| + n arcs of the closed neighbourhoods,
     not O(n^2).
     """
     bits = np.asarray(b)
-    if bits.ndim != 1:
+    if bits.ndim != 1 or bits.shape[0] != g.n:
         raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={g.n}")
-    return link_decoder(g)(bits)
+    return link_decoder(g)(bits[np.newaxis])[0]
 
 
 def transmission_matrix(g: Graph, b) -> np.ndarray:

@@ -68,11 +68,6 @@ def base_weight_matrix(g: Graph, epsilon: float) -> np.ndarray:
     return np.eye(g.n) - check_epsilon(g, epsilon) * g.laplacian
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray):
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
 def mask_by_transmission(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Hadamard product of the base matrix with one slot's success indicators.
 
@@ -81,7 +76,8 @@ def mask_by_transmission(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float)
     t = np.asarray(t)
-    _check_same_shape(w, t)
+    if w.shape != t.shape:
+        raise DimensionError(f"shape mismatch: {w.shape} vs {t.shape}")
     return w * t
 
 

@@ -39,16 +39,15 @@ VALUES = {
     "edge_list": (("{edges}", "{edges}  # pinned graph"), ("{missing}", "{folder}")),
     "task": (("regression", "classification"), ("svm",)),
     "eta": (("0.01", "0", "1e12"), ("-1", "nan", "inf", "fast")),
-    "epsilon": (("auto", "0.1", "0.3"), ("0", "-0.1", "0.5", "nan", "inf", "x")),
+    "epsilon": (("0.1", "0.3"), ("0", "-0.1", "0.5", "nan", "inf", "x", "auto")),
     "iterations": (("1", "3", "5"), ("0", "-2", "many")),
     "batch_size": (("1", "2", "4"), ("0", "-1", "all")),
     "p": (("0.3", "0, 0.5, 1", "1", "-0.0"), ("-0.1", "1.5", "nan", ",", "0.1, x", "0.5, 0.5")),
     "replicates": (("1", "2"), ("0", "-1", "x")),
     "seed": (("0", "3"), ("-1", "x")),
     "samples_per_node": (("1", "3", "5"), ("0", "-1", "x")),
-    "checkpoint_every": (("auto", "1", "2"), ("0", "-1", "x")),
+    "checkpoint_every": (("1", "2"), ("0", "-1", "x", "auto")),
     "grid_step": (("0.25", "0.5", "0.3"), ("0", "-0.1", "0.6", "nan", "x")),
-    "out": (("elsewhere",), ()),  # --out always overrides it
     "plots": (("true", "false"), ("x",)),
 }
 # Keys most commands need are always set; the others half of the time.

@@ -259,7 +259,7 @@ def test_decoding_links_follow_the_collision_rule(name):
     for k, b in enumerate(vectors):
         want_receivers, want_senders = _collision_rule(g, b)
         [one_slot] = decode(block[k:k + 1])
-        for receivers, senders in (decoding_links(g, b), decode(b), rows[k], one_slot):
+        for receivers, senders in (decoding_links(g, b), rows[k], one_slot):
             assert receivers.dtype == np.int64 and senders.dtype == np.int64
             assert receivers.tolist() == want_receivers
             assert senders.tolist() == want_senders
@@ -359,12 +359,13 @@ def test_block_constants_leave_the_trace_unchanged(monkeypatch, run):
         _assert_same_trace(trace, traces[0])
 
 
-@pytest.mark.parametrize("shape", [(0,), (5,), (7,), (6, 1), (), (2, 5), (0, 7), (1, 6, 1), (2, 2, 6)])
+@pytest.mark.parametrize("shape", [(0,), (5,), (7,), (6, 1), (), (2, 5), (0, 7), (1, 6, 1), (2, 2, 6), (6,)])
 def test_decoders_reject_a_wrongly_shaped_broadcast_vector(shape):
     g = DECODER_GRAPHS["star"]
     b = np.zeros(shape, dtype=np.int64)
-    with pytest.raises(DimensionError, match="does not match n=6"):
-        decoding_links(g, b)
+    if shape != (6,):  # one vector is what decoding_links takes, and link_decoder does not
+        with pytest.raises(DimensionError, match="does not match n=6"):
+            decoding_links(g, b)
     with pytest.raises(DimensionError, match="does not match n=6"):
         link_decoder(g)(b)
 

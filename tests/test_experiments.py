@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import radsgd.cli
 import radsgd.experiments
 import radsgd.learning
 import radsgd.topology
@@ -153,7 +154,7 @@ SCHEMA_SAMPLE = {
     "topology": "edge_list", "n": 7, "edge_prob": 0.4, "graph_seed": 5, "edge_list": None,
     "task": "classification", "eta": 0.02, "epsilon": 0.1, "iterations": 7, "batch_size": 3,
     "probabilities": (0.25, 0.5), "replicates": 2, "seed": 9, "samples_per_node": 11,
-    "checkpoint_every": 2, "grid_step": 0.125, "out": "elsewhere", "plots": True,
+    "checkpoint_every": 2, "grid_step": 0.125, "plots": True,
 }
 
 
@@ -181,13 +182,13 @@ def test_every_config_field_round_trips(tmp_path):
 
 @pytest.mark.parametrize("key", sorted(radsgd.experiments._SCHEMA))
 def test_only_epsilon_and_checkpoint_every_take_auto(tmp_path, key):
-    lines = {"topology": "ring", "n": "6", key: "AUTO" if key == "epsilon" else "auto"}
+    # No value stands for a default; omitting the key takes it. So auto is
+    # malformed for every key but the free-text edge_list, where it is a path.
+    lines = {"topology": "ring", "n": "6", key: "auto"}
     path = _write_config(tmp_path / "a.cfg", "".join(f"{k} = {v}\n" for k, v in lines.items()))
-    if key in ("epsilon", "checkpoint_every"):
-        assert getattr(parse_config(path), key) is None
-    elif key in ("edge_list", "out"):  # free text: a path named auto
-        assert getattr(parse_config(path), key) == "auto"
-    else:  # batch_size = auto, for one, is "batch_size must be an integer"
+    if key == "edge_list":
+        assert parse_config(path).edge_list == "auto"
+    else:  # epsilon = auto, for one, is "epsilon must be a number"
         with pytest.raises(ConfigError, match=f"^{key} must"):
             parse_config(path)
 
@@ -258,13 +259,6 @@ def test_cmd_analyze_deterministic_bytes(tmp_path):
     cmd_analyze(config, out_dir=str(tmp_path / "a"))
     cmd_analyze(config, out_dir=str(tmp_path / "b"))
     assert (tmp_path / "a" / "analyze.csv").read_bytes() == (tmp_path / "b" / "analyze.csv").read_bytes()
-
-
-def test_cmd_analyze_parallel_matches_sequential(tmp_path):
-    config = ExperimentConfig(topology="ring", n=8, grid_step=0.05)
-    cmd_analyze(config, out_dir=str(tmp_path / "seq"), parallel=1)
-    cmd_analyze(config, out_dir=str(tmp_path / "par"), parallel=2)
-    assert (tmp_path / "seq" / "analyze.csv").read_bytes() == (tmp_path / "par" / "analyze.csv").read_bytes()
 
 
 def _sweep_config(**overrides):
@@ -481,6 +475,17 @@ def test_cli_runtime_error_exit_code(tmp_path):
     assert main(["train", "--config", config, "--out", str(tmp_path)]) == 2
 
 
+def test_cli_bare_memory_error_has_a_message(tmp_path, capsys, monkeypatch):
+    def out_of_memory(config, out_dir):
+        raise MemoryError
+
+    monkeypatch.setitem(radsgd.cli._COMMANDS, "topology", (out_of_memory, "raises MemoryError()"))
+    config = _write_config(tmp_path / "t.cfg", "topology = ring\nn = 6\n")
+    capsys.readouterr()
+    assert main(["topology", "--config", config]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_cli_config_seed_changes_results(tmp_path):
     config = _write_config(tmp_path / "t.cfg", BASE_SWEEP)
     reseeded = _write_config(tmp_path / "u.cfg", BASE_SWEEP.replace("seed = 7", "seed = 8"))
@@ -492,8 +497,9 @@ def test_cli_config_seed_changes_results(tmp_path):
 
 
 def test_cli_rejects_bad_parallel(tmp_path):
-    config = _write_config(tmp_path / "t.cfg", "topology = ring\nn = 8\n")
-    assert main(["topology", "--config", config, "--parallel", "0"]) == 1
+    config = _write_config(tmp_path / "t.cfg", BASE_SWEEP)
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "out"), "--parallel", "0"]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def _assert_config_error(capsys, argv, field):
@@ -511,12 +517,24 @@ def test_cli_rejects_seed_flag(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["sigma = 0.5", "noise_cov = 0.05", "classifier_bias = true", "p = 0, 0.3, -0.0"])
+@pytest.mark.parametrize(
+    "line", ["sigma = 0.5", "noise_cov = 0.05", "classifier_bias = true", "p = 0, 0.3, -0.0", "out = x"]
+)
 def test_cli_removed_keys_and_repeated_p_are_config_errors(tmp_path, capsys, line):
     config = _write_config(tmp_path / "t.cfg", BASE_SWEEP.replace("p = 0, 0.3333333333333333, 1", "") + line + "\n")
     field = "repeats" if line.startswith("p =") else f"unknown config key '{line.split()[0]}'"
     _assert_config_error(capsys, ["sweep", "--config", config, "--out", str(tmp_path)], field)
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "train", "topology"])
+def test_cli_parallel_is_a_sweep_flag_only(tmp_path, capsys, command):
+    config = _write_config(
+        tmp_path / "t.cfg", "topology = ring\nn = 6\ntask = regression\np = 0.3\niterations = 2\n"
+    )
+    argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--parallel", "2"]
+    _assert_config_error(capsys, argv, "--parallel")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_negative_graph_seed_is_config_error(tmp_path, capsys):
@@ -574,17 +592,20 @@ def test_cli_one_node_edge_list_is_config_error(tmp_path, capsys, command):
         ("train", "topology = ring\nn = 4\ntask = regression\np = 0.3\nsamples_per_node = 3000000000000000000\n", None),
         ("train", "topology = ring\nn = 4\ntask = regression\np = 0.3\nsamples_per_node = 10000000000000000000\n", None),
         ("train", "topology = ring\nn = 4\ntask = classification\np = 0.3\nsamples_per_node = 3000000000000000000\n", None),
+        ("sweep", "topology = ring\nn = 4\ntask = regression\np = 0.3\nreplicates = 1000000000000\n", None),
     ],
     ids=[
         "ring_n", "edge_list_n", "samples_per_node", "grid_step", "grid_step_bytes",
         "ring_n_bytes", "complete_n_bytes", "erdos_renyi_n_bytes", "edge_list_n_bytes", "edge_list_n_bytes_10e9",
         "ring_n_dimension", "samples_per_node_bytes", "samples_per_node_dimension", "classification_samples_bytes",
+        "replicates",
     ],
 )
 def test_cli_oversized_inputs_are_runtime_errors(tmp_path, capsys, command, text, edges):
     # The grid cases and the *_bytes and *_dimension cases, whose arrays numpy
-    # cannot index, allocate nothing; in the others the first array asked for
-    # is far above 2^47 bytes, so its allocation fails at once.
+    # cannot index, allocate nothing, nor does the sweep whose results would
+    # exceed physical memory; in the others the first array asked for is far
+    # above 2^47 bytes, so its allocation fails at once.
     if edges is not None:
         (tmp_path / "big.txt").write_text(edges)
     config = _write_config(tmp_path / "t.cfg", text.format(edges=tmp_path / "big.txt"))

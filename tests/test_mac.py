@@ -263,9 +263,9 @@ def test_monte_carlo_link_frequencies():
     policy = AccessPolicy.uniform(6, p)
     rng = np.random.default_rng(77)
     slots = 10**5
-    counts = np.zeros((6, 6))
-    for _ in range(slots):
-        counts += transmission_matrix(g, sample_broadcast(policy, rng))
+    # One transmission matrix per distinct broadcast vector, weighted by its count.
+    vectors, repeats = np.unique([sample_broadcast(policy, rng) for _ in range(slots)], axis=0, return_counts=True)
+    counts = sum(k * transmission_matrix(g, b) for b, k in zip(vectors, repeats))
     freq = counts / slots
     target = p * (1 - p) ** 2
     for i in range(6):

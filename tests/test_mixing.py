@@ -187,10 +187,11 @@ def test_expected_weight_matrix_monte_carlo():
     policy = AccessPolicy.uniform(6, 1 / 3)
     rng = np.random.default_rng(15)
     slots = 10**5
-    total = np.zeros((6, 6))
-    for _ in range(slots):
-        slot = transmission_matrix(g, sample_broadcast(policy, rng))
-        total += compensate(mask_by_transmission(w, slot))
+    # The chain runs once per distinct broadcast vector, weighted by its count.
+    vectors, repeats = np.unique([sample_broadcast(policy, rng) for _ in range(slots)], axis=0, return_counts=True)
+    total = sum(
+        k * compensate(mask_by_transmission(w, transmission_matrix(g, b))) for b, k in zip(vectors, repeats)
+    )
     empirical = total / slots
     assert np.abs(empirical - expected_weight_matrix(g, w, policy)).max() <= 0.005
 
