@@ -279,7 +279,7 @@ def cmd_analyze(config: ExperimentConfig, out_dir: str = ".") -> dict:
     g = build_graph(config)
     epsilon = _resolve_epsilon(config, g)
     ps, rates = consensus_rate_scan(g, epsilon, config.grid_step)
-    throughputs = np.array([expected_throughput(g, float(p)) for p in ps])
+    throughputs = expected_throughput(g, ps)
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "analyze.csv")

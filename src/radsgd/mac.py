@@ -22,6 +22,9 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # 2^n enumeration cap for the exact-throughput oracle.
 MAX_BRUTE_FORCE_NODES = 20
+# Bound on the (points, n) terms expected_throughput holds at once; a
+# quarter of it bounds each call of optimal_access_probability's search.
+THROUGHPUT_BLOCK_BYTES = 1 << 15
 
 # One slot's decoded links: int64 (receivers, senders), receivers ascending.
 Links = tuple[np.ndarray, np.ndarray]
@@ -184,16 +187,29 @@ def success_probability_matrix(g: Graph, policy: AccessPolicy) -> np.ndarray:
     return s
 
 
-def expected_throughput(g: Graph, p: float) -> float:
+def expected_throughput(g: Graph, p):
     """Expected number of successful deliveries in one slot under uniform p.
 
     Equals p * sum_i d_i (1-p)^{d_i}: each of node i's d_i incoming links
-    succeeds with probability p (1-p)^{d_i}.
+    succeeds with probability p (1-p)^{d_i}. A float p gives a float; an
+    array gives an array of its shape, each entry bit-identical to the
+    float call, with at most THROUGHPUT_BLOCK_BYTES of (points, n) terms
+    held at once. Raises DomainError naming the first p that is NaN or
+    outside [0, 1].
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"access probability must lie in [0, 1], got {p}")
+    ps = np.asarray(p, dtype=float)
+    good = (ps >= 0.0) & (ps <= 1.0)
+    if not good.all():
+        raise DomainError(f"access probability must lie in [0, 1], got {ps[~good].flat[0]}")
     d = g.degrees
-    return float(p * np.sum(d * (1.0 - p) ** d))
+    flat = ps.ravel()
+    values = np.empty(flat.shape)
+    rows = max(1, THROUGHPUT_BLOCK_BYTES // (8 * d.size))
+    for first in range(0, flat.size, rows):
+        q = flat[first:first + rows, np.newaxis]
+        # Each row is summed over the nodes as the 1-D sum of one p would be.
+        values[first:first + rows] = q[:, 0] * np.add.reduce(d * (1.0 - q) ** d, axis=1)
+    return float(values[0]) if ps.ndim == 0 else values.reshape(ps.shape)
 
 
 def throughput_derivative(g: Graph, p: float) -> float:
@@ -208,24 +224,71 @@ def throughput_derivative(g: Graph, p: float) -> float:
     return float(np.sum(d * (1.0 - p) ** (d - 1) * (1.0 - p * (1.0 + d))))
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section search for the maximizer of a unimodal f on [lo, hi]."""
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-9, lookahead: int = 0) -> float:
+    """Golden-section search for the maximizer of a unimodal f on [lo, hi].
+
+    f maps a 1-D array of points to the array of their values. The search
+    keeps a bracket [a, b] with inner points c < d, narrows it to [a, d] when
+    f(c) >= f(d) and to [c, b] otherwise, and stops once b - a <= tol.
+
+    A call of f evaluates the point the search needs next together with
+    every point that its next `lookahead` evaluations could need, on both
+    sides of each comparison whose values are not yet known: at most
+    2^(lookahead + 1) - 1 points. The search then replays its comparisons
+    on the cached values, so every lookahead visits the same points and,
+    when f gives a point the same value in any call, returns the same
+    float. Lookahead 0 asks for one point per call.
+    """
     a, b = float(lo), float(hi)
     if not a < b:
         raise DomainError(f"bracket [{lo}, {hi}] is empty")
+    if lookahead < 0:
+        raise DomainError(f"lookahead must be at least 0, got {lookahead}")
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    known = {}
     while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+        while c not in known or d not in known:
+            points = _upcoming_points(a, b, c, d, known, tol, lookahead + 1)
+            known.update(zip(points, f(np.array(points))))
+        a, b, c, d = _narrow(a, b, c, d, known[c] >= known[d])
     return 0.5 * (a + b)
+
+
+def search_lookahead(n: int, block_bytes: int) -> int:
+    """The deepest golden_section_max lookahead whose calls fit an (n, points) float64 block of block_bytes.
+
+    A call holds at most 2^(lookahead + 1) - 1 points; the lookahead is 0
+    when fewer than 3 points fit.
+    """
+    width = max(1, block_bytes // (8 * n))
+    return (width + 1).bit_length() - 2
+
+
+def _narrow(a, b, c, d, left: bool) -> tuple:
+    """One golden-section step: the bracket [a, d] when left, else [c, b], with its new inner points."""
+    if left:
+        return a, d, d - _INVPHI * (d - a), c
+    return c, b, d, c + _INVPHI * (b - c)
+
+
+def _upcoming_points(a, b, c, d, known: dict, tol: float, levels: int) -> list:
+    """The points golden_section_max may evaluate in its next `levels` evaluations from the bracket (a, b, c, d).
+
+    First the inner points without a known value, c before d; each later
+    level holds the new point of each side of every comparison still open,
+    where the narrowed bracket is still wider than tol (else the search
+    stops there and never compares it).
+    """
+    points = [x for x in (c, d) if x not in known][:levels]
+    brackets = [(a, b, c, d)]
+    for _ in range(levels - len(points)):
+        # A left step makes a new c (index 2), a right step a new d (index 3).
+        steps = [(_narrow(*q, left), 2 if left else 3) for q in brackets for left in (True, False)]
+        steps = [(q, new) for q, new in steps if q[1] - q[0] > tol]
+        brackets = [q for q, _ in steps]
+        points += [q[new] for q, new in steps]
+    return points
 
 
 def optimal_access_probability(g: Graph) -> float:
@@ -235,14 +298,16 @@ def optimal_access_probability(g: Graph) -> float:
     the throughput increases below the lower end and decreases above the
     upper end. Uniform-degree graphs collapse the bracket to exactly
     1/(1 + d); otherwise golden-section search resolves the maximum to
-    better than 1e-6.
+    better than 1e-6, looking as far ahead as search_lookahead allows
+    for (n, points) blocks of THROUGHPUT_BLOCK_BYTES // 4.
     """
     d = g.degrees
     lo = 1.0 / (1.0 + d.max())
     hi = 1.0 / (1.0 + d.min())
     if lo == hi:
         return lo
-    return golden_section_max(lambda p: expected_throughput(g, p), lo, hi, tol=1e-9)
+    lookahead = search_lookahead(g.n, THROUGHPUT_BLOCK_BYTES // 4)
+    return golden_section_max(lambda ps: expected_throughput(g, ps), lo, hi, tol=1e-9, lookahead=lookahead)
 
 
 def brute_force_expected_throughput(g: Graph, policy: AccessPolicy) -> float:

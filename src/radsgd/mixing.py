@@ -25,7 +25,7 @@ from .errors import DimensionError, DomainError
 
 # perfbench wraps radsgd.mixing.success_probability_matrix and
 # radsgd.mixing.spectral_radius by these names; keep both resolvable here.
-from .mac import AccessPolicy, golden_section_max, success_probability_matrix
+from .mac import AccessPolicy, golden_section_max, search_lookahead, success_probability_matrix
 from .topology import Graph
 
 # Bound on the working arrays of one consensus_rate call: each (n, block)
@@ -338,14 +338,26 @@ def consensus_rate_scan(g: Graph, epsilon: float, grid_step: float) -> tuple[np.
 
 
 def refine_spectral_minimum(g: Graph, epsilon: float, ps: np.ndarray, rates: np.ndarray) -> float:
-    """Golden-section refinement around the best point of a precomputed scan, with L^+ built once."""
+    """Golden-section refinement around the best point of a precomputed scan, with L^+ built once.
+
+    The search solves its points a round at a time: each round is one
+    consensus_rate solve of every point its next few steps could need. A
+    round of depth k holds 2^k - 1 points, and k is the largest depth whose
+    (n, points) Lanczos block fits in LANCZOS_BLOCK_BYTES // 4: 3 at
+    n = 100, 2 at n = 200, and one point per round from n = 342 up. The
+    comparisons, and so the optimum, are those of a point-by-point search,
+    except where a rate that moves by half an ulp with the block it is
+    solved in flips a tie (a star, whose rate is symmetric about 1/2); the
+    optimum then moves by at most the search's tolerance.
+    """
     k = int(np.argmin(rates))
     lo = float(ps[max(k - 1, 0)])
     hi = float(ps[min(k + 1, len(ps) - 1)])
     if lo == hi:
         return lo
     solve = _rate_solver(g, epsilon)
-    return golden_section_max(lambda p: -float(solve(np.array([p]))[0]), lo, hi, tol=1e-5)
+    lookahead = search_lookahead(g.n, LANCZOS_BLOCK_BYTES // 4)
+    return golden_section_max(lambda p: -solve(p), lo, hi, tol=1e-5, lookahead=lookahead)
 
 
 def spectral_optimal_probability(g: Graph, epsilon: float, grid_step: float = 0.001) -> float:

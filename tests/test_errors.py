@@ -11,7 +11,7 @@ from radsgd.learning import (
     regression_task,
     train,
 )
-from radsgd.mac import AccessPolicy
+from radsgd.mac import AccessPolicy, expected_throughput, golden_section_max
 from radsgd.mixing import consensus_rate, consensus_rate_scan, spectral_optimal_probability
 from radsgd.topology import complete, erdos_renyi, from_edge_list, ring
 
@@ -41,6 +41,9 @@ CASES = {
     "rate_p_array_negative_inf": (DomainError, lambda: consensus_rate(ring(4), 0.25, np.array([-np.inf, 0.2]))),
     "rate_p_array_above_one": (DomainError, lambda: consensus_rate(ring(4), 0.25, np.array([0.2, 1.5]))),
     "rate_p_array_negative": (DomainError, lambda: consensus_rate(ring(4), 0.25, np.array([[0.2], [-0.1]]))),
+    "throughput_p_array_nan": (DomainError, lambda: expected_throughput(ring(4), np.array([0.2, np.nan]))),
+    "throughput_p_array_above_one": (DomainError, lambda: expected_throughput(ring(4), np.array([[0.2], [1.5]]))),
+    "search_negative_lookahead": (DomainError, lambda: golden_section_max(lambda x: -x, 0.0, 1.0, lookahead=-1)),
     "dataset_nan_feature": (DomainError, lambda: LocalDataset(np.full((2, 1), np.nan), np.zeros(2))),
     "dataset_inf_label": (DomainError, lambda: LocalDataset(np.zeros((2, 1)), np.array([0.0, np.inf]))),
     "regression_samples_bytes": (DimensionError, lambda: generate_regression_data(4, 3 * 10 ** 18, 0)),

@@ -1,8 +1,11 @@
 """Random-access channel tests: sampling, transmission outcomes, throughput."""
 
+import math
+
 import numpy as np
 import pytest
 
+from radsgd import mac, mixing
 from radsgd.errors import DimensionError, DomainError, InvalidLinkError
 from radsgd.mac import (
     AccessPolicy,
@@ -12,6 +15,7 @@ from radsgd.mac import (
     link_success_prob,
     optimal_access_probability,
     sample_broadcast,
+    search_lookahead,
     success_probability_matrix,
     throughput_derivative,
     transmission_matrix,
@@ -219,6 +223,173 @@ def test_golden_section_max_quadratic():
 def test_golden_section_rejects_empty_bracket():
     with pytest.raises(DomainError):
         golden_section_max(lambda x: x, 1.0, 1.0)
+
+
+def _sequential_golden_section_max(f, lo, hi, tol):
+    """The point-by-point search golden_section_max replays: f takes one point.
+
+    Returns the maximizer and the number of loop iterations.
+    """
+    a, b = float(lo), float(hi)
+    c = b - mac._INVPHI * (b - a)
+    d = a + mac._INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    iterations = 0
+    while b - a > tol:
+        iterations += 1
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - mac._INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + mac._INVPHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b), iterations
+
+
+def _counting(f, calls):
+    def counted(points):
+        calls.append(len(points))
+        return f(points)
+
+    return counted
+
+
+SEARCH_CASES = {
+    "quadratic": (lambda x: -(x - 0.7) ** 2, 0.0, 1.0, 1e-10),
+    "kink": (lambda x: -np.abs(x - 0.3141), 0.0, 1.0, 1e-9),
+    "kink_at_an_end": (lambda x: -np.abs(x - 2.0), -1.0, 2.0, 1e-7),
+    # On a bracket symmetric about 0.5 the first comparison is an exact tie.
+    "first_comparison_ties": (lambda x: -(x - 0.5) ** 2, 0.0, 1.0, 1e-9),
+    "plateaus_tie_everywhere": (lambda x: np.floor(4.0 * x), 0.0, 1.0, 1e-6),
+}
+
+
+@pytest.mark.parametrize("lookahead", range(5))
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_batched_search_equals_the_sequential_loop(name, lookahead):
+    f, lo, hi, tol = SEARCH_CASES[name]
+    expected, _ = _sequential_golden_section_max(lambda x: float(f(np.array([x]))[0]), lo, hi, tol)
+    calls = []
+    assert golden_section_max(_counting(f, calls), lo, hi, tol, lookahead=lookahead) == expected
+    assert max(calls) <= 2 ** (lookahead + 1) - 1
+    if lookahead == 0:
+        assert set(calls) == {1}
+
+
+def test_search_evaluates_no_point_past_the_tolerance():
+    # From [0, 1] with tol 0.5 the search compares twice and stops at a
+    # bracket of width 0.38: it needs c, d and one new point of the first
+    # step, which may fall on either side.
+    calls = []
+    golden_section_max(_counting(lambda x: -(x - 0.7) ** 2, calls), 0.0, 1.0, tol=0.5, lookahead=4)
+    assert calls == [4]
+
+
+def test_first_comparison_of_the_tie_case_is_a_tie():
+    f, lo, hi, _ = SEARCH_CASES["first_comparison_ties"]
+    c = hi - mac._INVPHI * (hi - lo)
+    d = lo + mac._INVPHI * (hi - lo)
+    assert f(c) == f(d)
+
+
+def test_search_lookahead_fits_a_round_in_the_block():
+    block = mixing.LANCZOS_BLOCK_BYTES // 4
+    assert [search_lookahead(n, block) for n in (100, 200, 341, 342, 400, 1000, 10 ** 6)] == [2, 1, 1, 0, 0, 0, 0]
+    for n in (1, 7, 20, 100, 300):
+        lookahead = search_lookahead(n, block)
+        assert 2 ** (lookahead + 1) - 1 <= max(1, block // (8 * n)) < 2 ** (lookahead + 2) - 1
+
+
+def _star(n):
+    return from_edge_list(f"n {n}\n" + "".join(f"0 {i}\n" for i in range(1, n)))
+
+
+def _lollipop(clique, tail):
+    edges = [f"{i} {j}\n" for i in range(clique) for j in range(i + 1, clique)]
+    edges += [f"{i} {i + 1}\n" for i in range(clique - 1, clique + tail - 1)]
+    return from_edge_list(f"n {clique + tail}\n" + "".join(edges))
+
+
+REFINE_GRAPHS = {
+    **{f"er{n}_seed{seed}": (n, seed) for n in (20, 100, 400) for seed in (0, 3, 7)},
+    "ring20": ring(20),
+    "lollipop": _lollipop(10, 10),
+}
+
+
+def _refine_graph(name):
+    g = REFINE_GRAPHS[name]
+    if isinstance(g, tuple):
+        n, seed = g
+        g = erdos_renyi(n, 10.0 / n, seed=seed)
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_GRAPHS))
+def test_spectral_refinement_equals_the_sequential_search(name):
+    g = _refine_graph(name)
+    eps = mixing.default_epsilon(g)
+    ps, rates = mixing.consensus_rate_scan(g, eps, 0.01)
+    k = int(np.argmin(rates))
+    lo, hi = float(ps[max(k - 1, 0)]), float(ps[min(k + 1, len(ps) - 1)])
+    solve = mixing._rate_solver(g, eps)
+    expected, _ = _sequential_golden_section_max(lambda p: -float(solve(np.array([p]))[0]), lo, hi, 1e-5)
+    assert mixing.refine_spectral_minimum(g, eps, ps, rates) == expected
+    for lookahead in range(5):
+        assert golden_section_max(lambda p: -solve(p), lo, hi, 1e-5, lookahead=lookahead) == expected
+
+
+def test_star_refinement_settles_within_tol_of_one_half():
+    # A star's rate 1 - eps p (1 - p) is symmetric about 1/2, so on the bracket
+    # [0.49, 0.51] every comparison is a tie in exact arithmetic and rounding
+    # decides it. A point's Lanczos rate can move by half an ulp with the block
+    # it is solved in, so a batched search may settle on the other side of 1/2
+    # than the point-by-point one; one point per call replays it exactly.
+    g = _star(12)
+    eps = mixing.default_epsilon(g)
+    ps, rates = mixing.consensus_rate_scan(g, eps, 0.01)
+    solve = mixing._rate_solver(g, eps)
+    expected, _ = _sequential_golden_section_max(lambda p: -float(solve(np.array([p]))[0]), 0.49, 0.51, 1e-5)
+    assert golden_section_max(lambda p: -solve(p), 0.49, 0.51, 1e-5, lookahead=0) == expected
+    for p in (expected, mixing.refine_spectral_minimum(g, eps, ps, rates)):
+        assert abs(p - 0.5) <= 1e-5
+
+
+def test_spectral_refinement_solves_a_round_per_call(monkeypatch):
+    g = erdos_renyi(100, 0.1, seed=0)
+    eps = mixing.default_epsilon(g)
+    ps, rates = mixing.consensus_rate_scan(g, eps, 0.004)
+    bind = mixing._rate_solver
+    calls = []
+    monkeypatch.setattr(mixing, "_rate_solver", lambda *args: _counting(bind(*args), calls))
+    p = mixing.refine_spectral_minimum(g, eps, ps, rates)
+    k = int(np.argmin(rates))
+    solve = bind(g, eps)
+    one_at_a_time = []
+    expected, iterations = _sequential_golden_section_max(
+        lambda x: -float(_counting(solve, one_at_a_time)(np.array([x]))[0]), ps[k - 1], ps[k + 1], 1e-5
+    )
+    assert p == expected and len(one_at_a_time) == iterations + 2 == 16
+    depth = search_lookahead(g.n, mixing.LANCZOS_BLOCK_BYTES // 4) + 1
+    assert depth == 3 and max(calls) <= 2 ** depth - 1
+    assert len(calls) <= math.ceil(iterations / depth) + 1
+
+
+@pytest.mark.parametrize("n", [20, 100, 400, 1000])
+def test_expected_throughput_on_an_array_equals_the_float_calls(n, monkeypatch):
+    g = erdos_renyi(n, min(1.0, 10.0 / n), seed=n)
+    ps = np.minimum(np.arange(0.0, 1.002, 0.004), 1.0)
+    scalar = np.array([expected_throughput(g, float(p)) for p in ps])
+    assert all(type(expected_throughput(g, float(p))) is float for p in ps[:3])
+    assert np.array_equal(expected_throughput(g, ps), scalar)
+    assert np.array_equal(expected_throughput(g, ps.reshape(-1, 1)), scalar.reshape(-1, 1))
+    monkeypatch.setattr(mac, "THROUGHPUT_BLOCK_BYTES", 1)  # one point per block
+    assert np.array_equal(expected_throughput(g, ps), scalar)
+    assert expected_throughput(g, np.empty((0, 3))).shape == (0, 3)
+    with pytest.raises(DomainError, match=r"got 1\.5$"):
+        expected_throughput(g, np.array([0.2, 1.5, np.nan]))
 
 
 def test_brute_force_all_broadcast_is_zero():
