@@ -34,7 +34,7 @@ from .learning import (
 )
 from .mac import AccessPolicy, expected_throughput, optimal_access_probability
 from .mixing import check_epsilon, consensus_rate_scan, default_epsilon, refine_spectral_minimum
-from .topology import complete, erdos_renyi, from_edge_list, physical_memory, ring, to_edge_list
+from .topology import check_fits, complete, erdos_renyi, from_edge_list, ring, to_edge_list
 
 # Distinguishes the dataset stream from per-run streams under one master seed.
 DATA_STREAM_TAG = 0xDA7A
@@ -43,6 +43,9 @@ DATA_STREAM_TAG = 0xDA7A
 # rows peak at about 440 bytes each, and each cell's job, outcome and trace
 # at about 740 more, which the size check counts as two rows.
 SWEEP_ROW_BYTES = 640
+# n x n float arrays that topology holds at peak, with a margin: the
+# Laplacian and eigvalsh's copy of it, 2.04 at n = 3000.
+SPECTRUM_MATRICES = 3
 
 _TOPOLOGIES = ("ring", "complete", "erdos_renyi", "edge_list")
 _TASKS = ("regression", "classification")
@@ -380,13 +383,8 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
     cells = len(config.probabilities) * config.replicates
     # A run records each multiple of the interval and its last iteration.
     checkpoints = -(-config.iterations // checkpoint_interval(config.iterations, config.checkpoint_every))
-    nbytes = cells * (checkpoints + 2) * SWEEP_ROW_BYTES
-    physical = physical_memory()
-    if nbytes > physical:
-        raise DimensionError(
-            f"a sweep of {cells} runs of {checkpoints} checkpoint(s) holds about {nbytes / 2 ** 30:.3g} GiB "
-            f"of results, more than the {physical / 2 ** 30:.3g} GiB of physical memory"
-        )
+    what = f"holding the results of {cells} runs of {checkpoints} checkpoint(s)"
+    check_fits(cells * (checkpoints + 2) * SWEEP_ROW_BYTES, what, DimensionError)
     jobs = [(config, p, replicate) for p in config.probabilities for replicate in range(config.replicates)]
     # ProcessPoolExecutor starts all its workers up front, whatever the
     # number of jobs, so an unbounded --parallel would fork that many.
@@ -480,13 +478,14 @@ def cmd_train(config: ExperimentConfig, out_dir: str = ".") -> dict:
 def cmd_topology(config: ExperimentConfig, out_dir: str = ".") -> dict:
     """Materialize the configured graph: edge-list file plus a spectrum report."""
     g = build_graph(config)
-    lap = g.laplacian  # GraphError before any output when it exceeds physical memory
+    # GraphError before any output when the eigen-solve would not fit.
+    check_fits(SPECTRUM_MATRICES * 8 * g.n ** 2, f"the spectrum of a {g.n}-node graph")
     os.makedirs(out_dir, exist_ok=True)
     edges_path = os.path.join(out_dir, "edges.txt")
     with open(edges_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(to_edge_list(g))
     degrees = g.degrees
-    lap_spectrum = np.linalg.eigvalsh(lap)
+    lap_spectrum = np.linalg.eigvalsh(g.laplacian)
     connectivity = float(lap_spectrum[1])
     histogram = {int(d): int(count) for d, count in zip(*np.unique(degrees, return_counts=True))}
     report_lines = [

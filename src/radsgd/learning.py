@@ -33,7 +33,7 @@ from .mixing import check_epsilon, default_epsilon, mix_slot
 # from here.
 from .mac import transmission_matrix  # noqa: F401
 from .mixing import compensate, mask_by_transmission  # noqa: F401
-from .topology import Graph, physical_memory
+from .topology import Graph, check_fits
 
 DIVERGENCE_LIMIT = 1e9
 # Bound on the logits block a classification evaluator holds at once; it
@@ -92,7 +92,7 @@ class TaskSpec:
     predict: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalDataset:
     """Samples stacked along leading axes: features (..., m, f), labels (..., m).
 
@@ -268,27 +268,20 @@ def classification_task() -> TaskSpec:
     )
 
 
-def _check_sizes(n_nodes: int, samples_per_node: int, test_per_node: int, sample_bytes: int, peak_bytes: int):
-    """ConfigError for a size below 1; DimensionError for data too large to generate.
+def _check_sizes(n_nodes: int, samples_per_node: int, test_per_node: int, peak_bytes: int):
+    """ConfigError for a size below 1; DimensionError for data, at peak_bytes per sample, that does not fit.
 
-    That is data whose bytes numpy cannot index (sample_bytes per sample),
-    or data that, at peak_bytes per sample while it is generated and
-    trained on, would exceed physical memory: the system may grant such
-    an allocation and kill the process once it is touched.
+    peak_bytes covers every sample, train and test, while the data is
+    generated and trained on; it is at least each array's bytes per sample,
+    so passing check_fits also keeps every array indexable.
     """
     if n_nodes < 1 or samples_per_node < 1:
         raise ConfigError("n_nodes and samples_per_node must be positive")
-    samples = max(samples_per_node, test_per_node)
-    if int(n_nodes) * int(samples) * sample_bytes > np.iinfo(np.intp).max:
-        raise DimensionError(f"{n_nodes} nodes of {samples} samples are more than one array can hold")
-    nbytes = int(n_nodes) * (int(samples_per_node) + int(test_per_node)) * peak_bytes
-    physical = physical_memory()
-    if nbytes > physical:
-        raise DimensionError(
-            f"{n_nodes} nodes of {samples_per_node} + {test_per_node} test samples take about "
-            f"{nbytes / 2 ** 30:.3g} GiB to generate and train on, "
-            f"more than the {physical / 2 ** 30:.3g} GiB of physical memory"
-        )
+    check_fits(
+        int(n_nodes) * (int(samples_per_node) + int(test_per_node)) * peak_bytes,
+        f"generating and training on {n_nodes} nodes of {samples_per_node} + {test_per_node} test samples",
+        DimensionError,
+    )
 
 
 def generate_regression_data(
@@ -302,7 +295,7 @@ def generate_regression_data(
     bias value in node order, so each bias is equally represented. The
     features have no columns. Deterministic for a fixed seed.
     """
-    _check_sizes(n_nodes, samples_per_node, test_per_node, 8, REGRESSION_PEAK_BYTES)
+    _check_sizes(n_nodes, samples_per_node, test_per_node, REGRESSION_PEAK_BYTES)
     rng = np.random.default_rng(seed)
     biases = rng.uniform(BIAS_LOW, BIAS_HIGH, (n_nodes, 1))
     labels = biases + REGRESSION_NOISE * rng.standard_normal((n_nodes, samples_per_node))
@@ -325,7 +318,7 @@ def generate_classification_data(
     and the test set, balanced with test_per_node * n_nodes / N_CLASSES
     samples per class in class order.
     """
-    _check_sizes(n_nodes, samples_per_node, test_per_node, 8 * FEATURE_DIM, CLASSIFICATION_PEAK_BYTES)
+    _check_sizes(n_nodes, samples_per_node, test_per_node, CLASSIFICATION_PEAK_BYTES)
     if n_nodes % N_CLASSES != 0:
         raise ConfigError(
             f"n_nodes must be divisible by {N_CLASSES} so each class has "
@@ -393,7 +386,7 @@ def dsgd_step(
     return mixed
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricTrace:
     """Checkpointed metrics of one training run.
 

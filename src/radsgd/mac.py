@@ -30,7 +30,7 @@ THROUGHPUT_BLOCK_BYTES = 1 << 15
 Links = tuple[np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccessPolicy:
     """Per-node broadcast probabilities for one slot."""
 

@@ -26,7 +26,7 @@ from .errors import DimensionError, DomainError
 # perfbench wraps radsgd.mixing.success_probability_matrix and
 # radsgd.mixing.spectral_radius by these names; keep both resolvable here.
 from .mac import AccessPolicy, golden_section_max, search_lookahead, success_probability_matrix
-from .topology import Graph
+from .topology import Graph, check_fits
 
 # Bound on the working arrays of one consensus_rate call: each (n, block)
 # Lanczos array, and each stack of tridiagonal matrices passed to eigvalsh.
@@ -38,6 +38,10 @@ RITZ_RTOL = 1e-14
 RITZ_EVERY = 4
 # How far, in logs, a node mass may lie above or below the second largest.
 MASS_CAP = 80.0
+# With a margin, the n x n float arrays that _rate_solver holds at peak (the
+# Laplacian, L + J/n and inv's work: 5.14 at n = 3000) and the bytes that
+# consensus_rate_scan holds per grid point (26 for a grid of 10^6 points).
+RATE_SOLVER_MATRICES, SCAN_POINT_BYTES = 6, 32
 
 
 def default_epsilon(g: Graph) -> float:
@@ -160,7 +164,8 @@ def consensus_rate(g: Graph, epsilon: float, p):
     lambda_2(H) is read off the pseudo-inverse by Lanczos (see _rate_solver);
     L^+ is built once per call however many probabilities p holds. A float
     p gives a float; an array gives an array of its shape. Raises
-    DomainError if any p is NaN or outside [0, 1].
+    DomainError if any p is NaN or outside [0, 1], and GraphError when the
+    n x n arrays that building L^+ holds (RATE_SOLVER_MATRICES) do not fit.
     """
     ps = np.asarray(p, dtype=float)
     bad = ~((ps >= 0.0) & (ps <= 1.0))
@@ -216,11 +221,11 @@ def _rate_solver(g: Graph, epsilon: float):
     """
     check_epsilon(g, epsilon)
     n = g.n
+    check_fits(RATE_SOLVER_MATRICES * 8 * n ** 2, f"the consensus rate of a {n}-node graph")
     if n == 1:
         return lambda ps: np.zeros(ps.shape)
-    ones = np.full((n, n), 1.0 / n)
-    lp = np.linalg.inv(g.laplacian + ones)
-    lp -= ones
+    lp = np.linalg.inv(g.laplacian + 1.0 / n)
+    lp -= 1.0 / n
     lp += lp.T
     lp *= 0.5
     degrees = g.degrees.astype(float)[:, None]
@@ -325,14 +330,14 @@ def consensus_rate_scan(g: Graph, epsilon: float, grid_step: float) -> tuple[np.
 
     The grid runs up to 1 + grid_step/2, and a point past 1 is clamped to 1.
     So it ends at 1 only when the step nearly divides 1. Raises DomainError
-    for a step that is not positive and finite or whose grid numpy cannot index.
+    for a step that is not positive and finite or whose grid does not fit
+    (check_fits); the graph's own working set is consensus_rate's to check.
     The whole grid goes to one consensus_rate call, which builds L^+ once.
     """
     if not 0.0 < grid_step < np.inf:
         raise DomainError(f"grid_step must be a positive finite number, got {grid_step}")
     stop = 1.0 + grid_step / 2.0
-    if stop / grid_step >= np.iinfo(np.intp).max // 8:
-        raise DomainError(f"grid_step {grid_step} gives more grid points than one array can hold")
+    check_fits(SCAN_POINT_BYTES * (stop / grid_step), f"the grid of step {grid_step}", DomainError)
     ps = np.minimum(np.arange(0.0, stop, grid_step), 1.0)
     return ps, consensus_rate(g, epsilon, ps)
 

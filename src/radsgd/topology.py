@@ -30,44 +30,43 @@ _BYTES_PER_EDGE = 256
 
 
 def physical_memory() -> int:
-    """Bytes of physical memory of this machine.
-
-    Sizes past it fail before they are allocated: the system may grant
-    such an allocation and kill the process once it is touched.
-    """
+    """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_fits(nbytes: int, what: str):
-    """GraphError when nbytes exceed physical memory."""
+def check_fits(nbytes: float, what: str, error: type[Exception] = GraphError):
+    """Raise error unless numpy can index nbytes and they fit in physical memory.
+
+    Every allocation that grows with the input passes this one guard before
+    it is made: the system may grant an allocation past physical memory and
+    kill the process once it is touched. nbytes may be a float, so a count
+    that overflowed to inf fails.
+    """
     physical = physical_memory()
-    if nbytes > physical:
-        raise GraphError(
-            f"{what} takes {nbytes / 2 ** 30:.3g} GiB, "
-            f"more than the {physical / 2 ** 30:.3g} GiB of physical memory"
-        )
+    if nbytes > np.iinfo(np.intp).max:
+        limit = "one array can hold"
+    elif nbytes > physical:
+        limit = f"the {physical / 2 ** 30:.3g} GiB of physical memory"
+    else:
+        return
+    raise error(f"{what} takes {nbytes / 2 ** 30:.3g} GiB, more than {limit}")
 
 
 def _check_edges_fit(n: int, edge_count: float):
-    """GraphError when building a graph of edge_count edges exceeds physical memory."""
-    _check_fits(int(edge_count) * _BYTES_PER_EDGE, f"building a graph of {n} nodes and {int(edge_count)} edges")
+    """check_fits for building a graph of edge_count edges."""
+    check_fits(int(edge_count) * _BYTES_PER_EDGE, f"building a graph of {n} nodes and {int(edge_count)} edges")
 
 
-def _square(n: int) -> tuple[int, int]:
-    """The shape (n, n), or GraphError when numpy cannot index the bytes of an n x n matrix.
-
-    Every Graph must pass it, so its dense views stay indexable; the
-    builders call it before they allocate anything of size n.
-    """
+def _square(n: int):
+    """GraphError unless numpy can index n x n 8-byte entries, as Graph's edge keys u * n + v need."""
     if int(n) ** 2 * 8 > np.iinfo(np.intp).max:
         raise GraphError(f"n={n} gives an adjacency matrix larger than one array can hold")
-    return n, n
 
 
 def _dense_shape(n: int) -> tuple[int, int]:
-    """The shape (n, n), or GraphError when one n x n matrix of 8-byte entries exceeds physical memory."""
-    _check_fits(int(n) ** 2 * 8, f"one {n} x {n} matrix")
-    return _square(n)
+    """The shape (n, n), once one n x n matrix of 8-byte entries passes check_fits."""
+    check_fits(int(n) ** 2 * 8, f"one {n} x {n} matrix")
+    return n, n
 
 
 def _is_connected(n: int, lo: np.ndarray, hi: np.ndarray) -> bool:
@@ -96,7 +95,7 @@ def _is_connected(n: int, lo: np.ndarray, hi: np.ndarray) -> bool:
             parent = grand
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Connected undirected graph on nodes 0..n-1, stored as its edge list.
 
@@ -104,10 +103,10 @@ class Graph:
     order and may repeat; they are stored as u < v, sorted, without
     duplicates. Construction checks ids and self-loops in O(n + |E|),
     connectivity in O(log n) rounds of that, n against the largest matrix
-    one array can hold, so the dense views stay indexable, and its own
-    working memory against physical memory. The dense views check their n x n bytes against
-    physical memory when first read. Every array is read-only, so
-    instances can be shared freely across threads.
+    one array can hold, so the edge keys u * n + v stay indexable, and its
+    own working memory against physical memory. The dense views pass
+    check_fits when first read. Every array is read-only, so instances can
+    be shared freely across threads; they compare and hash by identity.
 
     arcs holds both directions of every edge as (heads, tails), sorted by
     head, then tail; per-slot channel code works on these 2|E| arcs.
@@ -115,9 +114,9 @@ class Graph:
 
     n: int
     edges: np.ndarray
-    arcs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    degrees: np.ndarray = field(init=False, repr=False, compare=False)
-    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    arcs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    degrees: np.ndarray = field(init=False, repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -209,7 +208,6 @@ def complete(n: int) -> Graph:
     """Complete graph: every pair of distinct nodes is an edge."""
     if n < 2:
         raise GraphError(f"complete graph requires n >= 2, got {n}")
-    _square(n)
     _check_edges_fit(n, n * (n - 1) // 2)
     return Graph(n, np.stack(np.triu_indices(n, k=1), axis=1))
 
@@ -233,8 +231,7 @@ def erdos_renyi(n: int, edge_prob: float, seed: int) -> Graph:
         raise GraphError(f"edge_prob must lie in (0, 1], got {edge_prob}")
     if seed < 0:
         raise GraphError(f"seed must be nonnegative, got {seed}")
-    _square(n)
-    _check_fits(int(n) ** 2 * 8, f"drawing the {n} x {n} uniforms of one attempt")
+    check_fits(int(n) ** 2 * 8, f"drawing the {n} x {n} uniforms of one attempt")
     _check_edges_fit(n, edge_prob * n * (n - 1) / 2)
     rows = max(1, _DRAW_BLOCK // n)
     rng = np.random.default_rng(seed)

@@ -70,3 +70,19 @@ def test_bad_arguments_raise_radsgd_errors(name):
 def test_train_takes_numpy_integers():
     trace = _train(iterations=np.int64(4), batch_size=np.int32(3), checkpoint_every=np.uint8(2))
     assert list(trace.iterations) == [2, 4]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ring(5),
+        lambda: AccessPolicy.uniform(5, 0.3),
+        lambda: generate_regression_data(4, 6, seed=0)[0],
+        lambda: _train(iterations=2),
+    ],
+    ids=["graph", "access_policy", "local_dataset", "metric_trace"],
+)
+def test_array_holding_values_compare_and_hash_by_identity(make):
+    # A generated __eq__ would compare numpy arrays and raise ValueError.
+    a, b = make(), make()
+    assert a == a and a != b and len({a, b}) == 2

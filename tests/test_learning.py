@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import radsgd.learning
+import radsgd.topology
 from radsgd.errors import ConfigError, DimensionError, DivergenceError, DomainError
 from radsgd.learning import (
     LocalDataset,
@@ -296,10 +297,10 @@ def test_train_deterministic_bitwise():
 )
 def test_generators_check_physical_memory(monkeypatch, generate):
     # 400 * 200 samples at 32 bytes and 100 * 120 at 160 bytes: about 2 MB each.
-    monkeypatch.setattr(radsgd.learning, "physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(radsgd.topology, "physical_memory", lambda: 1 << 20)
     with pytest.raises(DimensionError, match="physical memory"):
         generate()
-    monkeypatch.setattr(radsgd.learning, "physical_memory", lambda: 4 << 20)
+    monkeypatch.setattr(radsgd.topology, "physical_memory", lambda: 4 << 20)
     generate()
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radsgd.topology
 from radsgd import mixing
 from radsgd.errors import DimensionError, DomainError
 from radsgd.mac import AccessPolicy, optimal_access_probability, sample_broadcast, transmission_matrix
@@ -404,6 +405,13 @@ def test_consensus_rate_scan_makes_one_consensus_rate_call(monkeypatch):
     ps, rates = consensus_rate_scan(ring(10), 1 / 3, 0.01)
     assert len(calls) == 1 and len(ps) == 101
     assert np.array_equal(rates, solve(ring(10), 1 / 3, ps))
+
+
+def test_consensus_rate_scan_checks_physical_memory(monkeypatch):
+    # 100001 grid points at SCAN_POINT_BYTES each take about 3.2 MB.
+    monkeypatch.setattr(radsgd.topology, "physical_memory", lambda: 1 << 20)
+    with pytest.raises(DomainError, match="physical memory"):
+        consensus_rate_scan(ring(4), 0.25, 1e-5)
 
 
 @st.composite
