@@ -4,7 +4,9 @@ Commands are pure functions of their configuration: graphs, datasets, and
 per-run RNG streams all derive from seeds recorded in the config file, so
 rerunning a command reproduces its output files byte for byte. Sweep runs
 are embarrassingly parallel across (p, replicate) pairs and produce the
-same CSV content whether executed sequentially or in a process pool.
+same CSV content whether executed sequentially or in a process pool; the
+full-batch pairs at p = 0 and p = 1, where no link is ever decoded, share
+one run.
 
 Per-run seed streams are keyed by (master seed, replicate, bit pattern of
 p), so extending the sweep grid never changes the stream of an existing
@@ -20,6 +22,7 @@ import dataclasses
 import functools
 import os
 import re
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .learning import (
     train,
 )
 from .mac import AccessPolicy, expected_throughput, optimal_access_probability
-from .mixing import check_epsilon, consensus_rate_scan, default_epsilon, refine_spectral_minimum
+from .mixing import SCAN_POINT_BYTES, check_epsilon, consensus_rate_scan, default_epsilon, refine_spectral_minimum
 from .topology import check_fits, complete, erdos_renyi, from_edge_list, ring, to_edge_list
 
 # Distinguishes the dataset stream from per-run streams under one master seed.
@@ -43,6 +46,10 @@ DATA_STREAM_TAG = 0xDA7A
 # rows peak at about 440 bytes each, and each cell's job, outcome and trace
 # at about 740 more, which the size check counts as two rows.
 SWEEP_ROW_BYTES = 640
+# Bytes analyze holds per grid point beyond the scan's SCAN_POINT_BYTES
+# when it plots, with a margin: each SVG polyline's point strings, 116 in
+# all by tracemalloc on ring(4). analyze.csv is written row by row.
+PLOT_POINT_BYTES = 128
 # n x n float arrays that topology holds at peak, with a margin: the
 # Laplacian and eigvalsh's copy of it, 2.04 at n = 3000.
 SPECTRUM_MATRICES = 3
@@ -256,7 +263,7 @@ def _fmt(x: float) -> str:
     return str(float(x))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]):
+def _write_csv(path: str, header: list[str], rows: Iterable[list[str]]):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -281,12 +288,15 @@ def cmd_analyze(config: ExperimentConfig, out_dir: str = ".") -> dict:
     """
     g = build_graph(config)
     epsilon = _resolve_epsilon(config, g)
+    points = (1.0 + config.grid_step / 2.0) / config.grid_step
+    point_bytes = SCAN_POINT_BYTES + (PLOT_POINT_BYTES if config.plots else 0)
+    check_fits(point_bytes * points, f"analyze on the grid of step {config.grid_step}", DomainError)
     ps, rates = consensus_rate_scan(g, epsilon, config.grid_step)
     throughputs = expected_throughput(g, ps)
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "analyze.csv")
-    rows = [[_fmt(p), _fmt(t), _fmt(r)] for p, t, r in zip(ps, throughputs, rates)]
+    rows = ([_fmt(p), _fmt(t), _fmt(r)] for p, t, r in zip(ps, throughputs, rates))
     _write_csv(csv_path, ["p", "expected_throughput", "consensus_rate"], rows)
 
     p_throughput = optimal_access_probability(g)
@@ -370,7 +380,10 @@ def _trace_rows(p: float, replicate: int | None, trace) -> list[list[str]]:
 def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -> dict:
     """Train over every (p, replicate) pair and collect one tidy CSV.
 
-    Rows are ordered by (position of p in the grid, replicate, iteration).
+    Each distinct run is trained once: the full-batch cells at p = 0 and
+    p = 1 all have the trace of the first of them, and every other cell
+    is its own run. Rows are ordered by (position of p in the grid,
+    replicate, iteration).
     Runs that diverge are recorded in sweep_errors.csv and the sweep
     continues; successful rows are unaffected. The sweep holds every run's
     rows until it writes them, so one that would exceed physical memory
@@ -385,24 +398,34 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
     checkpoints = -(-config.iterations // checkpoint_interval(config.iterations, config.checkpoint_every))
     what = f"holding the results of {cells} runs of {checkpoints} checkpoint(s)"
     check_fits(cells * (checkpoints + 2) * SWEEP_ROW_BYTES, what, DimensionError)
-    jobs = [(config, p, replicate) for p in config.probabilities for replicate in range(config.replicates)]
+    grid = [(p, replicate) for p in config.probabilities for replicate in range(config.replicates)]
+    # Nobody broadcasts at p = 0 and nobody listens at p = 1, so a
+    # full-batch run there is local gradient descent whatever its seed:
+    # every such cell shares the run of the first one.
+    full_batch = config.batch_size is None or config.batch_size >= config.samples_per_node
+    keys = ["isolated" if full_batch and p in (0.0, 1.0) else (p, replicate) for p, replicate in grid]
+    runs = {}
+    for key, (p, replicate) in zip(keys, grid):
+        runs.setdefault(key, (config, p, replicate))
     # ProcessPoolExecutor starts all its workers up front, whatever the
     # number of jobs, so an unbounded --parallel would fork that many.
-    workers = min(parallel, len(jobs), os.cpu_count() or 1)
+    workers = min(parallel, len(runs), os.cpu_count() or 1)
     if workers > 1:
         # Imported here so serial commands never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_worker, jobs))
+            outcomes = list(pool.map(_sweep_worker, runs.values()))
     else:
-        outcomes = [_sweep_worker(job) for job in jobs]
+        outcomes = [_sweep_worker(job) for job in runs.values()]
+    outcome_of = dict(zip(runs, outcomes))
 
-    # Both paths return outcomes in job order, which is the rows' order.
+    # Cells come in grid order, which is the rows' order.
     rows: list[list[str]] = []
     failures: list[tuple[float, int, str]] = []
     final_losses: dict[float, list[float]] = {p: [] for p in config.probabilities}
-    for (_, p, replicate), (trace, error) in zip(jobs, outcomes):
+    for key, (p, replicate) in zip(keys, grid):
+        trace, error = outcome_of[key]
         if error is not None:
             failures.append((p, replicate, error))
             continue

@@ -19,6 +19,8 @@ spectral_radius stay as its reference.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionError, DomainError
@@ -162,8 +164,9 @@ def consensus_rate(g: Graph, epsilon: float, p):
     because S = 0 and E is the identity.
 
     lambda_2(H) is read off the pseudo-inverse by Lanczos (see _rate_solver);
-    L^+ is built once per call however many probabilities p holds. A float
-    p gives a float; an array gives an array of its shape. Raises
+    L^+ is built once for g and eps however many probabilities p holds, and
+    kept for the next call on them. A float p gives a float; an array gives
+    an array of its shape. Raises
     DomainError if any p is NaN or outside [0, 1], and GraphError when the
     n x n arrays that building L^+ holds (RATE_SOLVER_MATRICES) do not fit.
     """
@@ -175,8 +178,13 @@ def consensus_rate(g: Graph, epsilon: float, p):
     return float(rates) if ps.ndim == 0 else rates
 
 
+@functools.lru_cache(maxsize=1)
 def _rate_solver(g: Graph, epsilon: float):
     """consensus_rate on g at eps as a function of a 1-D array of p in [0, 1], with L^+ built once.
+
+    The last solver is kept (a Graph hashes by identity), so an analyze
+    command's scan and refinement share one inverse; a new graph or eps
+    binds afresh, through check_fits.
 
     For p in (0, 1) let m = 1/S, the node masses. H y = lambda y with
     lambda != 0 is L x = lambda m x for x = S^{1/2} y, and w = m x sums to 0.
@@ -230,10 +238,10 @@ def _rate_solver(g: Graph, epsilon: float):
     lp *= 0.5
     degrees = g.degrees.astype(float)[:, None]
     start = np.random.default_rng(0).standard_normal(n)
-    block = max(1, LANCZOS_BLOCK_BYTES // (8 * n))
 
     def rates(ps: np.ndarray) -> np.ndarray:
         out = np.ones(ps.shape)
+        block = max(1, LANCZOS_BLOCK_BYTES // (8 * n))
         inner = np.flatnonzero((ps > 0.0) & (ps < 1.0))
         for first in range(0, len(inner), block):
             at = inner[first:first + block]
@@ -343,7 +351,7 @@ def consensus_rate_scan(g: Graph, epsilon: float, grid_step: float) -> tuple[np.
 
 
 def refine_spectral_minimum(g: Graph, epsilon: float, ps: np.ndarray, rates: np.ndarray) -> float:
-    """Golden-section refinement around the best point of a precomputed scan, with L^+ built once.
+    """Golden-section refinement around the best point of a precomputed scan, on the scan's L^+.
 
     The search solves its points a round at a time: each round is one
     consensus_rate solve of every point its next few steps could need. A

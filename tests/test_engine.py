@@ -5,6 +5,7 @@ import pytest
 
 from radsgd import learning
 from radsgd.errors import DimensionError
+from radsgd.experiments import run_seed
 from radsgd.learning import (
     DECODE_BLOCK_BYTES,
     EVAL_BLOCK_BYTES,
@@ -323,15 +324,28 @@ def _assert_same_trace(got, want):
 
 def test_isolated_runs_at_p0_and_p1_are_equal():
     # Nobody broadcasts at p = 0 and everybody does at p = 1, so no link is
-    # decoded in either run: both are local gradient descent at every node.
-    g, task = erdos_renyi(20, 0.3, seed=2), classification_task()
-    data, test = generate_classification_data(20, 15, seed=4)
-    p0, p1 = (
-        train(g, AccessPolicy.uniform(20, p), task, data, test, iterations=60, step_size=0.05, seed=7, checkpoint_every=5)
-        for p in (0.0, 1.0)
-    )
-    _assert_same_trace(p1, p0)
-    assert p0.consensus_distance[-1] > 0.0
+    # decoded in either run: both are local gradient descent at every node,
+    # whatever the run's seed, as long as every slot takes the full local
+    # dataset. A sweep trains one run for all such cells.
+    tasks = [
+        (classification_task(), generate_classification_data),
+        (regression_task(), generate_regression_data),
+    ]
+    for g in (erdos_renyi(20, 0.3, seed=2), ring(12)):
+        for task, generate in tasks:
+            data, test = generate(g.n, 15, seed=4)
+            first, *rest = (
+                train(
+                    g, AccessPolicy.uniform(g.n, p), task, data, test, iterations=60, step_size=0.05,
+                    batch_size=batch_size, seed=run_seed(master, p, replicate), checkpoint_every=5,
+                )
+                for p in (0.0, -0.0, 1.0)
+                for master, replicate in ((7, 0), (7, 1), (8, 2))
+                for batch_size in (None, 15)
+            )
+            for trace in rest:
+                _assert_same_trace(trace, first)
+            assert first.consensus_distance[-1] > 0.0
 
 
 @pytest.mark.parametrize("run", ["classification", "classification_batch8", "regression"])

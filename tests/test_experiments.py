@@ -2,6 +2,7 @@
 
 import ast
 import concurrent.futures
+import csv
 import dataclasses
 import importlib
 import json
@@ -263,6 +264,28 @@ def test_cmd_analyze_deterministic_bytes(tmp_path):
     assert (tmp_path / "a" / "analyze.csv").read_bytes() == (tmp_path / "b" / "analyze.csv").read_bytes()
 
 
+def test_cmd_analyze_inverts_once(tmp_path, monkeypatch):
+    # The scan and the refinement share one L^+.
+    inverses = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or inv(a))
+    config = ExperimentConfig(topology="erdos_renyi", n=12, edge_prob=0.4, graph_seed=3, grid_step=0.02)
+    cmd_analyze(config, out_dir=str(tmp_path))
+    assert inverses == [(12, 12)]
+
+
+def test_cli_analyze_counts_the_bytes_its_plots_hold(tmp_path, capsys, monkeypatch):
+    # 10001 grid points take 0.32 MB at the scan's SCAN_POINT_BYTES, which
+    # fits in 1 MiB, but plotting them holds 1.6 MB at PLOT_POINT_BYTES more.
+    monkeypatch.setattr(radsgd.topology, "physical_memory", lambda: 1 << 20)
+    config = _write_config(tmp_path / "t.cfg", "topology = ring\nn = 4\ngrid_step = 0.0001\nplots = true\n")
+    capsys.readouterr()
+    assert main(["analyze", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: analyze on the grid") and "physical memory" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def _sweep_config(**overrides):
     base = dict(
         topology="ring",
@@ -350,16 +373,68 @@ class _SerialPool:
         return map(fn, jobs)
 
 
-@pytest.mark.parametrize("cpus, want", [(64, 6), (4, 4), (None, None)])
-def test_parallel_workers_capped_by_jobs_and_cpus(tmp_path, monkeypatch, cpus, want):
+# Three interior probabilities: each of the 6 cells is a run of its own.
+INTERIOR = (0.2, 1 / 3, 0.5)
+
+
+@pytest.mark.parametrize("cpus, probabilities, want", [
+    pytest.param(64, INTERIOR, 6, id="64-6"),
+    pytest.param(4, INTERIOR, 4, id="4-4"),
+    pytest.param(None, INTERIOR, None, id="None-None"),
+    # The 4 cells at p = 0 and p = 1 share one run: 3 runs in all.
+    pytest.param(64, (0.0, 1 / 3, 1.0), 3, id="64-isolated-3"),
+])
+def test_parallel_workers_capped_by_jobs_and_cpus(tmp_path, monkeypatch, cpus, probabilities, want):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    cmd_sweep(_sweep_config(), out_dir=str(tmp_path / "sweep"), parallel=10_000)
+    config = _sweep_config(probabilities=probabilities)
+    cmd_sweep(config, out_dir=str(tmp_path / "sweep"), parallel=10_000)
     assert _SerialPool.sizes == ([] if want is None else [want])
     serial = tmp_path / "serial"
-    cmd_sweep(_sweep_config(), out_dir=str(serial))
+    cmd_sweep(config, out_dir=str(serial))
     assert (serial / "sweep.csv").read_bytes() == (tmp_path / "sweep" / "sweep.csv").read_bytes()
+
+
+def _per_cell_outputs(config):
+    """sweep.csv and sweep_errors.csv rows from training every cell on its own."""
+    rows, errors = [], []
+    for p in config.probabilities:
+        for replicate in range(config.replicates):
+            trace, error = radsgd.experiments._sweep_worker((config, p, replicate))
+            if error is None:
+                rows.extend(radsgd.experiments._trace_rows(p, replicate, trace))
+            else:
+                errors.append([radsgd.experiments._fmt(p), str(replicate), error])
+    return rows, errors
+
+
+def _csv_rows(path):
+    if not path.exists():
+        return []
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))[1:]
+
+
+@pytest.mark.parametrize("overrides, runs", [
+    pytest.param({}, 3, id="full_batch"),
+    pytest.param({"batch_size": 20}, 3, id="batch_of_every_sample"),
+    pytest.param({"batch_size": 19}, 6, id="minibatch"),
+    pytest.param({"eta": 1e9}, 3, id="diverging"),
+])
+def test_cmd_sweep_trains_each_distinct_run_once(tmp_path, monkeypatch, overrides, runs):
+    # With the full local dataset in every slot, the 4 cells at p = 0 and
+    # p = 1 (of 6) are one run, whose trace or divergence each of them
+    # reports; a minibatch run draws its batches from its own seed, so
+    # each cell trains.
+    config = _sweep_config(**overrides)
+    rows, errors = _per_cell_outputs(config)
+    trained = _count_calls(monkeypatch, "train")
+    cmd_sweep(config, out_dir=str(tmp_path))
+    assert len(trained) == runs
+    assert _csv_rows(tmp_path / "sweep.csv") == rows
+    assert _csv_rows(tmp_path / "sweep_errors.csv") == errors
+    assert len(errors) == (6 if "eta" in overrides else 0) and len(rows) == 30 * (6 - len(errors))
 
 
 def test_serial_commands_load_no_pool_machinery(tmp_path):
@@ -732,3 +807,50 @@ def test_names_perfbench_wraps_resolve():
     }
     assert missing <= {"radsgd.experiments.consensus_rate"}
     assert {"loss", "predict"} <= {f.name for f in dataclasses.fields(TaskSpec)}
+
+
+# Per-layer metrics that perfbench/run.py adds to the tracer's summary; every
+# other one comes from the summary of one traced command.
+RUN_LEVEL_METRICS = {
+    "experiments.node_slots", "experiments.grid_points", "trace.traced_wall_s", "trace.untraced_wall_s",
+    "trace_overhead_frac",
+}
+TRACED_GRAPH = "topology = erdos_renyi\nn = 12\nedge_prob = 0.4\ngraph_seed = 1\nseed = 1\n"
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("sweep", "task = classification\niterations = 20\np = 0, 0.2, 1\nreplicates = 1\ncheckpoint_every = 10\n"),
+    ("analyze", "grid_step = 0.05\n"),
+], ids=["sweep", "analyze"])
+def test_traced_perfbench_command_passes_its_checks(tmp_path, command, keys):
+    # perfbench/child.py runs one command under the tracer, as
+    # `perfbench/run.py --trace 1` does, so a change that breaks what the
+    # tracer wraps or reads fails here too.
+    root = Path(__file__).parents[1]
+    config = _write_config(tmp_path / "t.cfg", TRACED_GRAPH + keys)
+    spec = {
+        "src": str(root / "src"), "config": config,
+        "argv": [command, "--config", config, "--out", str(tmp_path / "out")],
+        "datasets": command == "sweep", "trace": True,
+        "spans": str(tmp_path / "spans.json"), "stdout": str(tmp_path / "stdout.txt"),
+        "result": str(tmp_path / "result.json"),
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), str(tmp_path / "spec.json")],
+        cwd=tmp_path, capture_output=True, text=True, env=dict(os.environ, **threads), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["exit_code"] == 0
+    trace = result["trace"]
+    assert trace["hook_errors"] == {}
+    assert set(trace["missing"]) <= {"radsgd.experiments.consensus_rate"}
+    assert [check for check in trace["checks"] if not check[1]] == []
+    per_layer = {m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["per_layer"]}
+    assert sorted(per_layer - RUN_LEVEL_METRICS - set(trace["metrics"])) == []
+    if command == "sweep":
+        # The cells at p = 0 and p = 1 are one traced run.
+        assert trace["metrics"]["experiments.cells"]["value"] == 2
+        assert trace["metrics"]["learning.slots"]["value"] == 40

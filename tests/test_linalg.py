@@ -1,10 +1,13 @@
-"""The eigen-solvers behind the spectral core.
+"""The eigen-solvers behind the spectral core and its references.
 
-consensus_rate and the topology report use LAPACK's symmetric solver
-(np.linalg.eigvalsh); mixing.spectral_radius, the general solver on the
-dense expected matrix, is their reference. These tests pin both on
-matrices with known spectra and check the similarity and the projector
-subtraction that let the symmetric solver stand in for the general one.
+The topology report uses LAPACK's symmetric solver (np.linalg.eigvalsh).
+consensus_rate reads lambda_2 of the symmetric H = S^1/2 L S^1/2 off a
+Lanczos iteration on the pseudo-inverse L^+ (eigvalsh solves only its
+small tridiagonal matrices); the dense eigvalsh of H and
+mixing.spectral_radius, the general solver on the dense expected matrix,
+are its references. These tests pin both solvers on matrices with known
+spectra and check the similarity and the projector subtraction that let
+the symmetric problem stand in for the general one.
 """
 
 import numpy as np
