@@ -30,6 +30,7 @@ from .errors import ConfigError, DimensionError, DivergenceError, DomainError
 from .learning import (
     checkpoint_interval,
     classification_task,
+    full_batch,
     generate_classification_data,
     generate_regression_data,
     regression_task,
@@ -402,8 +403,8 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str = ".", parallel: int = 1) -
     # Nobody broadcasts at p = 0 and nobody listens at p = 1, so a
     # full-batch run there is local gradient descent whatever its seed:
     # every such cell shares the run of the first one.
-    full_batch = config.batch_size is None or config.batch_size >= config.samples_per_node
-    keys = ["isolated" if full_batch and p in (0.0, 1.0) else (p, replicate) for p, replicate in grid]
+    isolated = full_batch(config.batch_size, config.samples_per_node)
+    keys = ["isolated" if isolated and p in (0.0, 1.0) else (p, replicate) for p, replicate in grid]
     runs = {}
     for key, (p, replicate) in zip(keys, grid):
         runs.setdefault(key, (config, p, replicate))

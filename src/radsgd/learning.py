@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError
-from .mac import AccessPolicy, link_decoder, sample_broadcast
+from .mac import AccessPolicy, code_dtype, link_decoder, sample_broadcast
 from .mixing import check_epsilon, default_epsilon, mix_slot
 
 # The dense per-slot chain that mix_slot replaces in train. perfbench wraps
@@ -40,8 +40,9 @@ DIVERGENCE_LIMIT = 1e9
 # sets how many nodes share one (k, N_CLASSES, T) product.
 EVAL_BLOCK_BYTES = 1 << 17
 # Bound on what train holds for a block of slots drawn ahead of their steps:
-# 8 bytes per arc of the 2|E| + n that each slot decodes, and each slot's
-# minibatch. It sets how many slots share one decoder call.
+# one decoder integer (mac.code_dtype) per arc of the 2|E| + n that each
+# slot decodes, and each slot's minibatch. It sets how many slots share one
+# decoder call.
 DECODE_BLOCK_BYTES = 1 << 18
 # The two data setups: N_CLASSES clusters in FEATURE_DIM dimensions, centres
 # drawn from (CENTER_LOW, CENTER_HIGH), samples spread by N(0, CLUSTER_COV * I);
@@ -51,7 +52,8 @@ BIAS_LOW, BIAS_HIGH = -1.0, 5.0
 REGRESSION_NOISE, CLUSTER_COV = 0.5, 0.05
 # Bytes per sample, train and test, that generating a dataset and training
 # on it allocate at peak, with a margin: measured up to 23 for regression
-# and 141 for classification, whose evaluator holds logits of the test set.
+# and 149 for classification, whose evaluator holds logits of the test set
+# (132 when training samples dominate: the bound gradient keeps x and x / m).
 REGRESSION_PEAK_BYTES, CLASSIFICATION_PEAK_BYTES = 32, 160
 
 
@@ -176,7 +178,11 @@ def classification_task() -> TaskSpec:
     run over an outer axis, which numpy does far faster than over a short
     innermost one. The bound gradient goes further and stores them
     class-major, (N_CLASSES, ..., m), so its reductions run over axis 0
-    across whole (..., m) planes of the stacked nodes.
+    across whole (..., m) planes of the stacked nodes. It normalizes the
+    softmax by multiplying with one reciprocal of the class sum per (node,
+    sample), and its second product takes the inputs divided by m when it
+    binds, so a call divides nothing; the gradient may differ by an ulp
+    from the divisions per call.
     """
     rows = FEATURE_DIM + 1
     classes = np.arange(N_CLASSES)[:, np.newaxis]
@@ -203,6 +209,7 @@ def classification_task() -> TaskSpec:
         inputs = np.ascontiguousarray(np.swapaxes(features, -1, -2))  # (..., rows, m)
         onehot = (labels[..., np.newaxis, :] == classes).astype(float)  # (..., N_CLASSES, m)
         label_term = inputs @ np.swapaxes(onehot, -1, -2) / size  # (..., rows, N_CLASSES)
+        scaled = inputs / size  # x / m, so the softmax half needs no division per call
         # The scores are stored class-major, (N_CLASSES, ..., m), so the
         # softmax reduces over axis 0: elementwise passes over whole
         # (..., m) planes instead of short rows of m samples. The products
@@ -214,12 +221,15 @@ def classification_task() -> TaskSpec:
         def bound(params):
             w = params.reshape(params.shape[:-1] + (rows, N_CLASSES))
             z = np.empty((N_CLASSES,) + params.shape[:-1] + (size,))
-            np.matmul(np.swapaxes(w, -1, -2), inputs, out=z.transpose(as_scores))
-            z -= z.max(axis=0)
+            np.matmul(w.swapaxes(-1, -2), inputs, out=z.transpose(as_scores))
+            # The ufunc reductions skip the array methods' Python wrappers,
+            # and one reciprocal per (node, sample) replaces a division of
+            # every class entry.
+            z -= np.maximum.reduce(z, axis=0)
             np.exp(z, out=z)
-            z /= z.sum(axis=0)
-            grad = inputs @ z.transpose(as_probs)
-            grad /= size
+            total = np.add.reduce(z, axis=0)
+            z *= np.reciprocal(total, out=total)
+            grad = scaled @ z.transpose(as_probs)
             grad -= label_term
             return grad.reshape(grad.shape[:-2] + (-1,))
 
@@ -245,15 +255,17 @@ def classification_task() -> TaskSpec:
             losses, right = np.empty(weights.shape[0]), 0
             for start in range(0, weights.shape[0], block):
                 z = weights[start:start + block] @ inputs  # (k, N_CLASSES, T)
-                picked = np.take(z.reshape(z.shape[0], -1), label_at, axis=1)  # (k, T)
-                top = z.max(axis=-2)
-                ties = z == top[:, np.newaxis]
+                z -= np.maximum.reduce(z, axis=-2)[:, np.newaxis]
+                # Shifted by its top score, a sample's scores are 0 exactly
+                # where they tie the top, and its label's is z_label - top.
+                shifted = np.take(z.reshape(z.shape[0], -1), label_at, axis=1)  # (k, T)
+                ties = z == 0.0
                 ties &= earlier
-                right += np.count_nonzero((picked == top) & ~ties.any(axis=-2))
-                # -log softmax of the label: log(sum exp(z - top)) + (top - z_label).
-                z -= top[:, np.newaxis]
+                right += np.count_nonzero((shifted == 0.0) & ~np.logical_or.reduce(ties, axis=-2))
+                # -log softmax of the label: log(sum exp(z - top)) - (z_label - top).
                 np.exp(z, out=z)
-                np.sum(np.log(z.sum(axis=-2)) + (top - picked), axis=-1, out=losses[start:start + block])
+                np.subtract(np.log(np.add.reduce(z, axis=-2)), shifted, out=shifted)
+                np.add.reduce(shifted, axis=-1, out=losses[start:start + block])
             count = weights.shape[0] * size
             return float(losses.sum()) / count, right / count
 
@@ -418,6 +430,15 @@ def _evaluate(evaluate: Callable[[np.ndarray], tuple[float, float]], params: np.
     return loss, acc, consensus
 
 
+def full_batch(batch_size: int | None, samples: int) -> bool:
+    """Whether every slot takes all of a node's samples: batch_size None or at least samples.
+
+    A full-batch run binds its gradient once and draws no minibatches, so
+    its generator serves the channel alone.
+    """
+    return batch_size is None or batch_size >= samples
+
+
 def checkpoint_interval(iterations: int, checkpoint_every: int | None) -> int:
     """checkpoint_every, or by default 1 up to 1000 iterations and 10 beyond."""
     if checkpoint_every is None:
@@ -445,12 +466,15 @@ def train(
     batch at that slot's step.
 
     The broadcasts depend on the policy and the graph alone, so the run
-    goes in blocks of slots: for each slot of a block in turn, one
-    sample_broadcast call, then that slot's minibatch draw, from the one
-    generator seeded by seed, in the order of a slot-by-slot loop; then
-    one decoder call for the block's (slots, n) decisions; then each
-    slot's step, divergence check and checkpoint. A block holds at most
-    DECODE_BLOCK_BYTES of arc values and minibatches.
+    goes in blocks of slots. A full-batch run (see full_batch) draws a
+    block's (slots, n) decisions in one sample_broadcast call; with
+    minibatches, each slot of the block in turn makes one sample_broadcast
+    call and then its minibatch draw. Both take the one generator seeded
+    by seed in the order of a slot-by-slot loop, so the block length moves
+    no draw. Then one decoder call decodes the block's (slots, n)
+    decisions, and each slot takes its step, divergence check and
+    checkpoint. A block holds at most DECODE_BLOCK_BYTES of arc values and
+    minibatches.
 
     epsilon None means 1/(d_max + 1); batch_size None, or one at least the
     local dataset size, means the full local dataset; checkpoint_every None
@@ -482,9 +506,9 @@ def train(
     evaluate = task.evaluator(test.features, test.labels)
     decode = link_decoder(g)
     rng = np.random.default_rng(seed)
-    minibatch = batch_size is not None and batch_size < data.size
+    minibatch = not full_batch(batch_size, data.size)
     gradient = None if minibatch else task.gradient(data.features, data.labels)
-    slot_bytes = 8 * (g.arcs[0].size + g.n)
+    slot_bytes = code_dtype(g).itemsize * (g.arcs[0].size + g.n)
     if minibatch:
         slot_bytes += data.features[:, :batch_size].nbytes + data.labels[:, :batch_size].nbytes
     block = max(1, DECODE_BLOCK_BYTES // slot_bytes)
@@ -493,13 +517,17 @@ def train(
     checkpoints, losses, accs, consensus = [], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, iterations + 1, block):
-            # The stream's order: each slot's channel, then its minibatch.
-            decisions, batches = [], []
-            for _ in range(min(block, iterations + 1 - first)):
-                decisions.append(sample_broadcast(policy, rng))
-                if minibatch:
+            slots = min(block, iterations + 1 - first)
+            if minibatch:
+                # The stream's order: each slot's channel, then its minibatch.
+                decisions, batches = [], []
+                for _ in range(slots):
+                    decisions.append(sample_broadcast(policy, rng))
                     batches.append(_draw_batch(data.features, data.labels, batch_size, rng))
-            for t, (receivers, senders) in enumerate(decode(np.array(decisions)), start=first):
+                decisions = np.array(decisions)
+            else:
+                decisions = sample_broadcast(policy, rng, slots)
+            for t, (receivers, senders) in enumerate(decode(decisions), start=first):
                 if minibatch:
                     gradient = task.gradient(*batches[t - first])
                 # A slot that decodes no link mixes with the identity: the

@@ -26,6 +26,10 @@ MAX_BRUTE_FORCE_NODES = 20
 # quarter of it bounds each call of optimal_access_probability's search.
 THROUGHPUT_BLOCK_BYTES = 1 << 15
 
+# link_decoder multiplies and sums its arc codes in int32 while every
+# node's code sum stays below this bound, and in int64 otherwise.
+INT32_CODE_LIMIT = 1 << 31
+
 # One slot's decoded links: int64 (receivers, senders), receivers ascending.
 Links = tuple[np.ndarray, np.ndarray]
 
@@ -55,9 +59,28 @@ class AccessPolicy:
         return self.probs.shape[0]
 
 
-def sample_broadcast(policy: AccessPolicy, rng: np.random.Generator) -> np.ndarray:
-    """One slot of independent Bernoulli broadcast decisions (0/1 vector)."""
-    return (rng.random(policy.n) < policy.probs).astype(np.int64)
+def sample_broadcast(policy: AccessPolicy, rng: np.random.Generator, slots: int | None = None) -> np.ndarray:
+    """Independent Bernoulli broadcast decisions, int64 0/1.
+
+    With slots None, one slot's (n,) vector; otherwise the (slots, n) rows
+    of that many slots, one slot per row. The rows equal, bit for bit,
+    slots one-slot calls on the same generator in turn, and leave it in
+    the same state: one rng.random draws the slots' uniforms in the order
+    the calls would.
+    """
+    shape = policy.n if slots is None else (slots, policy.n)
+    return (rng.random(shape) < policy.probs).astype(np.int64)
+
+
+def code_dtype(g: Graph) -> np.dtype:
+    """The integer type in which link_decoder(g) computes: int32 or int64.
+
+    Node i's arc codes sum to below 2n(d_i + 1): d_i neighbour codes below
+    2n and its own code 2n. int32 holds every sum while 2n(d_max + 1) is
+    below INT32_CODE_LIMIT.
+    """
+    bound = 2 * g.n * (int(g.degrees.max()) + 1)
+    return np.dtype(np.int32 if bound < INT32_CODE_LIMIT else np.int64)
 
 
 def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
@@ -74,7 +97,9 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
     is then n + j; silence everywhere sums to 0, and a broadcast by i or
     by two neighbours to at least 2n. So a block costs one gather of
     b != 0 over its slots and the 2|E| + n arcs, one segmented sum over
-    each slot's arcs, and one nonzero over the (slots, n) values.
+    each slot's arcs, and one nonzero over the (slots, n) values. The
+    product and the sums are in code_dtype(g), int32 on any graph whose
+    sums fit.
 
     An unchecked per-slot internal: the bound function checks only the
     shape of b (DimensionError unless it is (slots, n)), and any entry
@@ -92,7 +117,8 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
     sources = np.empty(heads.size + n, dtype=np.intp)  # the node each arc listens to
     sources[moved] = tails
     sources[own] = nodes
-    codes = np.empty(heads.size + n, dtype=np.int64)
+    codes = np.empty(heads.size + n, dtype=code_dtype(g))
+    unsigned = np.dtype(f"u{codes.itemsize}")
     codes[moved] = n + tails
     codes[own] = 2 * n
 
@@ -103,13 +129,16 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
         # astype(bool) is b != 0, in one pass without a scalar operand; a
         # take along the arc axis returns the gather C-ordered, so the
         # product and the sums stay one contiguous pass per slot.
-        value = np.add.reduceat(np.take(bits.astype(bool), sources, axis=1) * codes, starts, axis=1)
+        # The sums keep the codes' type; add.reduceat would widen int32.
+        value = np.add.reduceat(
+            np.take(bits.astype(bool), sources, axis=1) * codes, starts, axis=1, dtype=codes.dtype,
+        )
         value -= n
-        # Negative values wrap to above 2**63 as unsigned, so one compare
-        # keeps exactly the values in [0, n).
+        # Negative values wrap to above the signed maximum as unsigned, so
+        # one compare keeps exactly the values in [0, n).
         value = value.ravel()
-        flat = (value.view(np.uint64) < n).nonzero()[0]
-        senders = value[flat]
+        flat = (value.view(unsigned) < n).nonzero()[0]
+        senders = value[flat].astype(np.int64, copy=False)
         # flat holds the positions slot * n + receiver, ascending.
         bounds = np.searchsorted(flat, np.arange(0, bits.size + 1, n)).tolist()
         receivers = flat % n

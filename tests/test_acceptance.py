@@ -147,10 +147,11 @@ def test_c05_link_success_monte_carlo():
         rng = np.random.default_rng(1000 + idx)
         decode = link_decoder(g)
         counts = np.zeros((20, 20))
-        # The same sample_broadcast calls in the same order, decoded a
-        # chunk of slots at a time; each decoded link counts once.
+        # One sample_broadcast call draws a chunk of slots, the rows of
+        # that many one-slot calls, and one decoder call decodes them;
+        # each decoded link counts once.
         for _ in range(slots // chunk):
-            links = decode(np.array([sample_broadcast(policy, rng) for _ in range(chunk)]))
+            links = decode(sample_broadcast(policy, rng, chunk))
             receivers, senders = (np.concatenate(side) for side in zip(*links))
             counts += np.bincount(receivers * 20 + senders, minlength=400).reshape(20, 20)
         freq = counts / slots

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from radsgd import learning
+from radsgd import learning, mac
 from radsgd.errors import DimensionError
 from radsgd.experiments import run_seed
 from radsgd.learning import (
@@ -183,12 +183,12 @@ def test_one_sample_broadcast_call_per_slot_ahead_of_its_batch(monkeypatch, batc
     sample, draw = learning.sample_broadcast, learning._draw_batch
     fresh = np.random.default_rng(5).bit_generator.state
 
-    def sampling(policy, rng):
-        events.append(("channel", policy, rng, rng.bit_generator.state if not events else None))
-        return sample(policy, rng)
+    def sampling(policy, rng, *slots):
+        events.append(("channel", policy, rng, rng.bit_generator.state if not events else None, slots))
+        return sample(policy, rng, *slots)
 
     def drawing(features, labels, size, rng):
-        events.append(("batch", None, rng, None))
+        events.append(("batch", None, rng, None, None))
         return draw(features, labels, size, rng)
 
     monkeypatch.setattr("radsgd.learning.sample_broadcast", sampling)
@@ -196,12 +196,15 @@ def test_one_sample_broadcast_call_per_slot_ahead_of_its_batch(monkeypatch, batc
     data, test = generate_classification_data(8, 10, seed=0)
     policy = AccessPolicy.uniform(8, 0.3)
     train(ring(8), policy, classification_task(), data, test, iterations=7, batch_size=batch_size, seed=5)
-    per_slot = ["channel"] if batch_size is None else ["channel", "batch"]
-    assert [kind for kind, *_ in events] == per_slot * 7
+    if batch_size is None:
+        # A full-batch run draws its one block of 7 slots in one call.
+        assert [(kind, slots) for kind, *_, slots in events] == [("channel", (7,))]
+    else:
+        assert [kind for kind, *_ in events] == ["channel", "batch"] * 7
     # One generator, the run's: seeded by seed and untouched before the first slot.
     assert events[0][3] == fresh
-    assert all(rng is events[0][2] for _, _, rng, _ in events)
-    assert all(p is policy for kind, p, _, _ in events if kind == "channel")
+    assert all(rng is events[0][2] for _, _, rng, _, _ in events)
+    assert all(p is policy for kind, p, _, _, _ in events if kind == "channel")
 
 
 @pytest.mark.parametrize("graph", ["ring", "erdos_renyi"])
@@ -265,6 +268,30 @@ def test_decoding_links_follow_the_collision_rule(name):
             assert receivers.tolist() == want_receivers
             assert senders.tolist() == want_senders
             assert np.all(np.diff(receivers) > 0)
+
+
+@pytest.mark.parametrize("name", sorted(DECODER_GRAPHS))
+def test_decoder_code_width_leaves_the_links_unchanged(monkeypatch, name):
+    # At a limit equal to the graph's bound 2n(d_max + 1) on a node's code
+    # sum, the decoder computes in int64, as on a graph too large for int32.
+    g = DECODER_GRAPHS[name]
+    bound = 2 * g.n * (int(g.degrees.max()) + 1)
+    rng = np.random.default_rng(6)
+    block = np.concatenate(
+        [np.zeros((1, g.n), dtype=np.int64), np.ones((1, g.n), dtype=np.int64)]
+        + [sample_broadcast(AccessPolicy.uniform(g.n, p), rng, 40) for p in (0.1, 0.3, 0.6)]
+    )
+    decoded = {}
+    for limit, width in ((bound + 1, np.int32), (bound, np.int64)):
+        monkeypatch.setattr(mac, "INT32_CODE_LIMIT", limit)
+        assert mac.code_dtype(g) == width
+        decoded[width] = link_decoder(g)(block)
+    assert len(decoded[np.int32]) == len(decoded[np.int64]) == len(block)
+    for (receivers, senders), (wide_receivers, wide_senders) in zip(decoded[np.int32], decoded[np.int64]):
+        for links in (receivers, senders, wide_receivers, wide_senders):
+            assert links.dtype == np.int64
+        assert np.array_equal(receivers, wide_receivers)
+        assert np.array_equal(senders, wide_senders)
 
 
 def _slot_by_slot(g, policy, task, data, test, iterations, step_size, seed):
@@ -371,6 +398,31 @@ def test_block_constants_leave_the_trace_unchanged(monkeypatch, run):
             ))
     for trace in traces[1:]:
         _assert_same_trace(trace, traces[0])
+
+
+def test_train_blocks_follow_the_code_width(monkeypatch):
+    # ring(8) decodes 24 arcs a slot: a 384-byte block holds 4 slots of
+    # int32 codes and 2 of int64 ones, drawn in one call each.
+    g = ring(8)
+    data, test = generate_regression_data(8, 5, seed=0)
+    monkeypatch.setattr(learning, "DECODE_BLOCK_BYTES", 384)
+    calls, sample = [], learning.sample_broadcast
+
+    def sampling(policy, rng, slots):
+        calls.append(slots)
+        return sample(policy, rng, slots)
+
+    monkeypatch.setattr("radsgd.learning.sample_broadcast", sampling)
+    traces = []
+    for limit, blocks in ((mac.INT32_CODE_LIMIT, [4, 4, 1]), (1, [2, 2, 2, 2, 1])):
+        monkeypatch.setattr(mac, "INT32_CODE_LIMIT", limit)
+        calls.clear()
+        traces.append(train(
+            g, AccessPolicy.uniform(8, 0.3), regression_task(), data, test,
+            iterations=9, step_size=0.05, seed=3, checkpoint_every=1,
+        ))
+        assert calls == blocks
+    _assert_same_trace(traces[1], traces[0])
 
 
 @pytest.mark.parametrize("shape", [(0,), (5,), (7,), (6, 1), (), (2, 5), (0, 7), (1, 6, 1), (2, 2, 6), (6,)])

@@ -45,13 +45,24 @@ def test_sample_broadcast_degenerate():
     assert np.all(sample_broadcast(AccessPolicy.uniform(8, 1.0), rng) == 1)
 
 
+@pytest.mark.parametrize("n", [5, 20])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_block_draw_equals_one_slot_draws(n, p):
+    policy = AccessPolicy.uniform(n, p)
+    block_rng, slot_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for slots in (1, 7, 0, 30):
+        block = sample_broadcast(policy, block_rng, slots)
+        one_slot = [sample_broadcast(policy, slot_rng) for _ in range(slots)]
+        assert block.shape == (slots, n) and block.dtype == np.int64
+        assert np.array_equal(block, np.array(one_slot, dtype=np.int64).reshape(slots, n))
+        assert block_rng.bit_generator.state == slot_rng.bit_generator.state
+
+
 def test_sample_broadcast_empirical_mean():
     rng = np.random.default_rng(123)
     policy = AccessPolicy.uniform(5, 0.5)
-    total = np.zeros(5)
     samples = 10**5
-    for _ in range(samples):
-        total += sample_broadcast(policy, rng)
+    total = sample_broadcast(policy, rng, samples).sum(axis=0)
     means = total / samples
     assert np.all(means >= 0.49) and np.all(means <= 0.51)
 
@@ -435,7 +446,7 @@ def test_monte_carlo_link_frequencies():
     rng = np.random.default_rng(77)
     slots = 10**5
     # One transmission matrix per distinct broadcast vector, weighted by its count.
-    vectors, repeats = np.unique([sample_broadcast(policy, rng) for _ in range(slots)], axis=0, return_counts=True)
+    vectors, repeats = np.unique(sample_broadcast(policy, rng, slots), axis=0, return_counts=True)
     counts = sum(k * transmission_matrix(g, b) for b, k in zip(vectors, repeats))
     freq = counts / slots
     target = p * (1 - p) ** 2

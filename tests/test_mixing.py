@@ -189,7 +189,7 @@ def test_expected_weight_matrix_monte_carlo():
     rng = np.random.default_rng(15)
     slots = 10**5
     # The chain runs once per distinct broadcast vector, weighted by its count.
-    vectors, repeats = np.unique([sample_broadcast(policy, rng) for _ in range(slots)], axis=0, return_counts=True)
+    vectors, repeats = np.unique(sample_broadcast(policy, rng, slots), axis=0, return_counts=True)
     total = sum(
         k * compensate(mask_by_transmission(w, transmission_matrix(g, b))) for b, k in zip(vectors, repeats)
     )
