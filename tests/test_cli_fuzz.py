@@ -13,7 +13,10 @@ Exit 2 is the contract for a real run-time failure, so the contract test
 also passes a valid config that fails at run time. A second property
 draws only configs known to be valid (analyze on connected graphs with
 n <= 12 and grid_step >= 0.0005, and tiny train runs) and requires exit 0
-and complete outputs.
+and complete outputs. A third draws the command line itself from a pool
+of commands, flags, their prefixes and "--flag=value" forms, help flags,
+stray tokens and values, around a tiny valid config or a missing one, and
+requires the same contract.
 """
 
 import contextlib
@@ -123,6 +126,47 @@ def test_cli_contract_holds_on_generated_files(command, config, edges):
             code = main(argv)
     assert code in (0, 1, 2), (code, config, stderr.getvalue())
     assert stderr.getvalue().count("error:") <= 1, stderr.getvalue()
+
+
+# Valid for every command. One p and one replicate make one run, so
+# --parallel never starts a pool.
+TINY = "topology = ring\nn = 3\ntask = regression\np = 0.3\niterations = 2\nsamples_per_node = 3\ngrid_step = 0.25\n"
+COMMANDS = ("analyze", "sweep", "train", "topology")
+# Single tokens, and flag-value pairs so that many examples get to run.
+ARGV_UNITS = (
+    *COMMANDS, "frobnicate",
+    "--config", "--conf", "--c", "--out", "--o", "--parallel", "--par", "--p", "--help", "--h", "-h",
+    "--config={config}", "--config={missing}", "--out={out}", "--parallel=2", "--parallel=0", "--help=x",
+    "{config}", "{missing}", "{out}", "0", "x", "2", "stray", "-", "--", "", "--bogus", "-x",
+    "--config {config}", "--conf {config}", "--c {missing}", "--out {out}", "--o {out}", "--parallel 2", "--par x",
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    head=st.sampled_from(COMMANDS + ("frobnicate", "-h")),
+    tail=st.lists(st.sampled_from(ARGV_UNITS), max_size=5),
+)
+@example(head="sweep", tail=["--config", "{config}", "--out", "{out}"])
+@example(head="sweep", tail=["--c={config}", "--par", "2", "--o", "{out}"])
+def test_cli_contract_holds_on_generated_argv(head, tail):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"config": os.path.join(tmp, "run.cfg"), "missing": os.path.join(tmp, "missing.cfg"),
+                 "out": os.path.join(tmp, "out")}
+        with open(paths["config"], "w", encoding="utf-8") as handle:
+            handle.write(TINY)
+        argv = [head, *(token.format(**paths) for unit in tail for token in unit.split(" "))]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a command without --out writes into "."
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), (code, argv, stderr.getvalue())
+    assert stderr.getvalue().count("error:") <= 1, (argv, stderr.getvalue())
 
 
 @st.composite

@@ -330,8 +330,9 @@ def test_block_run_equals_slot_by_slot_replay(size, p):
         n, edge_prob = (400, 0.025) if size == "large" else (2000, 0.01)
         g, task = erdos_renyi(n, edge_prob, seed=2), regression_task()
         data, test = generate_regression_data(n, 15, seed=4)
-    block = max(1, DECODE_BLOCK_BYTES // (8 * (g.arcs[0].size + g.n)))
-    assert {"small": block > 100, "large": 1 < block < 10, "one_slot_blocks": block == 1}[size]
+    # train's block length: DECODE_BLOCK_BYTES over one decoder integer per arc and node.
+    block = max(1, DECODE_BLOCK_BYTES // (mac.code_dtype(g).itemsize * (g.arcs[0].size + g.n)))
+    assert {"small": block > 100, "large": 1 < block < 20, "one_slot_blocks": block == 1}[size]
     iterations = 2 * block + 3  # with blocks longer than one slot, the last block is short
     policy = AccessPolicy.uniform(g.n, p)
     trace = train(g, policy, task, data, test, iterations=iterations, step_size=0.05, seed=7, checkpoint_every=1)

@@ -437,8 +437,9 @@ def test_cmd_sweep_trains_each_distinct_run_once(tmp_path, monkeypatch, override
     assert len(errors) == (6 if "eta" in overrides else 0) and len(rows) == 30 * (6 - len(errors))
 
 
-def test_serial_commands_load_no_pool_machinery(tmp_path):
-    # A fresh interpreter: this test process has already imported the pool.
+def test_serial_commands_load_no_pool_machinery_or_argparse(tmp_path):
+    # A fresh interpreter: this test process has already imported the pool,
+    # and pytest imports argparse. The CLI parses its flags with getopt.
     sweep = _write_config(tmp_path / "sweep.cfg", BASE_SWEEP)
     train = _write_config(tmp_path / "train.cfg", BASE_SWEEP.replace("p = 0, 0.3333333333333333, 1", "p = 0.3"))
     ring = _write_config(tmp_path / "ring.cfg", "topology = ring\nn = 6\ngrid_step = 0.25\n")
@@ -446,7 +447,7 @@ def test_serial_commands_load_no_pool_machinery(tmp_path):
         [command, "--config", config, "--out", str(tmp_path / command)]
         for command, config in [("analyze", ring), ("train", train), ("topology", ring), ("sweep", sweep)]
     ]
-    pool_modules = ["concurrent.futures", "concurrent.futures.process", "multiprocessing"]
+    unwanted = ["concurrent.futures", "concurrent.futures.process", "multiprocessing", "argparse"]
     script = (
         "import json, sys\n"
         "from radsgd.cli import main\n"
@@ -456,7 +457,7 @@ def test_serial_commands_load_no_pool_machinery(tmp_path):
     src = os.path.dirname(os.path.dirname(radsgd.experiments.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(runs), json.dumps(pool_modules)],
+        [sys.executable, "-c", script, json.dumps(runs), json.dumps(unwanted)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
@@ -781,6 +782,60 @@ def test_cli_analyze_grid_ends_at_one(tmp_path):
 
 def test_cli_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sweep", "--help"], id="sweep-help"),
+    pytest.param(["-h"], id="h"),
+    pytest.param(["train", "--config", "x.cfg", "-h"], id="train-h"),
+    pytest.param(["topology", "--he"], id="help-prefix"),
+])
+def test_cli_help_prints_every_command(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for name, (_, help_text) in radsgd.cli._COMMANDS.items():
+        assert f"radsgd {name} --config PATH [--out DIR]" in out and help_text in out, out
+    assert "[--parallel K]" in out
+
+
+def test_readme_shows_the_cli_usage(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    capsys.readouterr()
+    assert main(["--help"]) == 0
+    assert "```text\n" + capsys.readouterr().out + "```" in section
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param("--config={config} --out={out}", id="equals"),
+    pytest.param("--conf {config} --o {out}", id="prefixes"),
+    pytest.param("--par 2 --config {config} --out {out}", id="parallel-prefix"),
+    pytest.param("--out {other} --config {config} --out {out}", id="last-out-wins"),
+])
+def test_cli_flag_spellings_write_the_same_outputs(tmp_path, flags):
+    config = _write_config(tmp_path / "t.cfg", BASE_SWEEP)
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "want")]) == 0
+    paths = {"config": config, "out": str(tmp_path / "out"), "other": str(tmp_path / "other")}
+    assert main(["sweep", *(flag.format(**paths) for flag in flags.split())]) == 0
+    assert (tmp_path / "out" / "sweep.csv").read_bytes() == (tmp_path / "want" / "sweep.csv").read_bytes()
+    assert not (tmp_path / "other").exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param("", "no command", id="empty"),
+    pytest.param("frobnicate --config {config}", "'frobnicate'", id="unknown-command"),
+    pytest.param("sweep --config {config} --bogus", "--bogus", id="unknown-flag"),
+    pytest.param("sweep --out {out} --config", "--config", id="no-value"),
+    pytest.param("sweep --config {config} --out {out} stray", "'stray'", id="stray"),
+    pytest.param("sweep --config {config} --out {out} --parallel x", "--parallel", id="parallel-x"),
+])
+def test_cli_usage_errors_exit_one_with_one_error_line(tmp_path, capsys, argv, field):
+    config = _write_config(tmp_path / "t.cfg", BASE_SWEEP)
+    paths = {"config": config, "out": str(tmp_path / "out")}
+    _assert_config_error(capsys, [arg.format(**paths) for arg in argv.split()], field)
+    assert not (tmp_path / "out").exists()
 
 
 def test_plots_emitted_when_enabled(tmp_path):
