@@ -5,7 +5,7 @@ key=value config file (--config, required) and writes its outputs into
 --out (default "."); sweep also takes --parallel. Flags come as
 "--flag value" or "--flag=value", may be shortened to any unique prefix,
 and the last of a repeated flag wins; -h or --help prints the usage of
-every command. The parser is getopt.gnu_getopt over the _COMMANDS table.
+every command. The parser is getopt.getopt over the _COMMANDS table.
 
 Exit codes: 0 on success or help, 1 for configuration problems (bad
 usage, malformed config or edge-list files, missing files), 2 for runtime
@@ -54,8 +54,14 @@ def _parse(argv: list[str]):
     name = argv[0] if argv else ""
     known = name in _COMMANDS
     longopts = ["config=", "out=", "help"] + (["parallel="] if name == "sweep" else [])
+    flags, stray, rest = [], [], argv[1:] if known else argv
     try:
-        flags, stray = getopt.gnu_getopt(argv[1:] if known else argv, "h", longopts)
+        # getopt stops at a stray argument, and so does gnu_getopt when the
+        # environment sets POSIXLY_CORRECT: read on past each one, so flags
+        # may follow a stray argument whatever the environment.
+        while rest:
+            found, rest = getopt.getopt(rest, "h", longopts)
+            flags, stray, rest = flags + found, stray + rest[:1], rest[1:]
     except getopt.GetoptError as exc:
         if known:
             raise ConfigError(exc.msg) from None

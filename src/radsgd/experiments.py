@@ -205,24 +205,18 @@ def _validate(config: ExperimentConfig):
         raise ConfigError(f"task must be regression or classification, got {config.task!r}")
     if config.eta < 0.0:
         raise ConfigError(f"eta must be nonnegative, got {config.eta}")
-    if config.iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {config.iterations}")
-    if config.batch_size is not None and config.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {config.batch_size}")
+    for field in ("iterations", "batch_size", "replicates", "samples_per_node", "checkpoint_every"):
+        value = getattr(config, field)
+        if value is not None and value < 1:
+            raise ConfigError(f"{field} must be >= 1, got {value}")
     for k, p in enumerate(config.probabilities):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"p values must lie in [0, 1], got {p}")
         # -0.0 == 0.0, so -0.0 repeats 0.0, whose run seeds it shares.
         if p in config.probabilities[:k]:
             raise ConfigError(f"p values must differ, but {p} repeats an earlier one")
-    if config.replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {config.replicates}")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    if config.samples_per_node < 1:
-        raise ConfigError(f"samples_per_node must be >= 1, got {config.samples_per_node}")
-    if config.checkpoint_every is not None and config.checkpoint_every < 1:
-        raise ConfigError(f"checkpoint_every must be >= 1, got {config.checkpoint_every}")
     if not 0.0 < config.grid_step <= 0.5:
         raise ConfigError(f"grid_step must lie in (0, 0.5], got {config.grid_step}")
 

@@ -41,9 +41,11 @@ DIVERGENCE_LIMIT = 1e9
 EVAL_BLOCK_BYTES = 1 << 17
 # Bound on what train holds for a block of slots drawn ahead of their steps:
 # one decoder integer (mac.code_dtype) per arc of the 2|E| + n that each
-# slot decodes, and each slot's minibatch. It sets how many slots share one
-# decoder call.
+# slot decodes, and each slot's minibatch draw (see _draw_batch). It sets
+# how many slots share one decoder call.
 DECODE_BLOCK_BYTES = 1 << 18
+# Keys a run's minibatch stream off its seed, apart from its channel stream.
+BATCH_STREAM_TAG = 0xBA7C
 # The two data setups: N_CLASSES clusters in FEATURE_DIM dimensions, centres
 # drawn from (CENTER_LOW, CENTER_HIGH), samples spread by N(0, CLUSTER_COV * I);
 # regression biases from (BIAS_LOW, BIAS_HIGH), labels by N(0, REGRESSION_NOISE^2).
@@ -308,7 +310,7 @@ def generate_regression_data(
     features have no columns. Deterministic for a fixed seed.
     """
     _check_sizes(n_nodes, samples_per_node, test_per_node, REGRESSION_PEAK_BYTES)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     biases = rng.uniform(BIAS_LOW, BIAS_HIGH, (n_nodes, 1))
     labels = biases + REGRESSION_NOISE * rng.standard_normal((n_nodes, samples_per_node))
     test_labels = (biases + REGRESSION_NOISE * rng.standard_normal((n_nodes, test_per_node))).ravel()
@@ -336,7 +338,7 @@ def generate_classification_data(
             f"n_nodes must be divisible by {N_CLASSES} so each class has "
             f"equally many nodes, got {n_nodes}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     centers = rng.uniform(CENTER_LOW, CENTER_HIGH, (N_CLASSES, FEATURE_DIM))
     scale = np.sqrt(CLUSTER_COV)
     size = (n_nodes, samples_per_node)
@@ -358,22 +360,26 @@ def local_gradient(gradient: Callable[[np.ndarray], np.ndarray], params: np.ndar
     return grad
 
 
-def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int, rng: np.random.Generator):
-    """Per-node minibatches of batch_size < m samples without replacement.
+def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int, rng: np.random.Generator, slots: int):
+    """A block of slots' per-node minibatches: features (slots, n, batch_size, f), labels (slots, n, batch_size).
 
-    A partial Fisher-Yates shuffle of all nodes' indices 0..m-1 at once:
-    step k swaps every node's position k with one drawn uniformly from
-    k..m-1, and one rng.integers call draws all n * batch_size positions.
+    batch_size < m samples without replacement, by a partial Fisher-Yates
+    shuffle of the indices 0..m-1 of all slots * n (slot, node) rows at
+    once: step k swaps every row's position k with one drawn uniformly
+    from k..m-1. One rng.integers call draws all positions, bit for bit
+    what slots calls of n rows would draw, and leaves rng in the same
+    state, so the block length moves no batch.
     """
     n, m = labels.shape
-    picks = rng.integers(np.arange(batch_size), m, size=(n, batch_size))
-    idx = np.tile(np.arange(m), (n, 1))
-    rows = np.arange(n)
+    picks = rng.integers(np.arange(batch_size), m, size=(slots * n, batch_size))
+    idx = np.tile(np.arange(m), (slots * n, 1))
+    rows = np.arange(slots * n)
     for k in range(batch_size):
         j = picks[:, k]
         idx[rows, k], idx[rows, j] = idx[rows, j], idx[rows, k]
-    rows, idx = rows[:, np.newaxis], idx[:, :batch_size]
-    return features[rows, idx], labels[rows, idx]
+    nodes, idx = rows[:, np.newaxis] % n, idx[:, :batch_size]
+    shape = (slots, n, batch_size)
+    return features[nodes, idx].reshape(shape + features.shape[2:]), labels[nodes, idx].reshape(shape)
 
 
 def dsgd_step(
@@ -413,28 +419,28 @@ class MetricTrace:
     consensus_distance: np.ndarray
 
 
-def _integer(name: str, value) -> int:
-    """value as an int (numpy integers pass), or ConfigError naming the field."""
+def _integer(name: str, value, low: int) -> int:
+    """value as an int of at least low (numpy integers pass), or ConfigError naming the field."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if number < low:
+        raise ConfigError(f"{name} must be >= {low}, got {number}")
+    return number
 
 
-def _evaluate(evaluate: Callable[[np.ndarray], tuple[float, float]], params: np.ndarray):
-    # evaluate is the task's evaluator bound to the test set (TaskSpec):
-    # one call for all n nodes.
-    loss, acc = evaluate(params)
-    center = params.mean(axis=0)
-    consensus = float(((params - center) ** 2).sum())
-    return loss, acc, consensus
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """seed if a SeedSequence, else one seeded by seed; ConfigError unless seed is an integer >= 0."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(_integer("seed", seed, 0))
 
 
 def full_batch(batch_size: int | None, samples: int) -> bool:
     """Whether every slot takes all of a node's samples: batch_size None or at least samples.
 
-    A full-batch run binds its gradient once and draws no minibatches, so
-    its generator serves the channel alone.
+    A full-batch run binds its gradient once and draws no minibatches.
     """
     return batch_size is None or batch_size >= samples
 
@@ -466,34 +472,31 @@ def train(
     batch at that slot's step.
 
     The broadcasts depend on the policy and the graph alone, so the run
-    goes in blocks of slots. A full-batch run (see full_batch) draws a
-    block's (slots, n) decisions in one sample_broadcast call; with
-    minibatches, each slot of the block in turn makes one sample_broadcast
-    call and then its minibatch draw. Both take the one generator seeded
-    by seed in the order of a slot-by-slot loop, so the block length moves
-    no draw. Then one decoder call decodes the block's (slots, n)
-    decisions, and each slot takes its step, divergence check and
-    checkpoint. A block holds at most DECODE_BLOCK_BYTES of arc values and
-    minibatches.
+    goes in blocks of slots. A block's (slots, n) decisions are one
+    sample_broadcast call on the generator seeded by seed, whose rows equal
+    that many one-slot calls bit for bit; with minibatches, the block's
+    batches are one _draw_batch call on a second generator, seeded by the
+    child of seed keyed by BATCH_STREAM_TAG (built without spawn, which
+    would count a child on a caller's SeedSequence). So the channel does
+    not depend on the batch size, and the block length moves no draw.
+    Then one decoder call decodes the block's decisions, and each slot
+    takes its step, divergence check and checkpoint. A block holds at most
+    DECODE_BLOCK_BYTES of arc values and minibatch draws.
 
     epsilon None means 1/(d_max + 1); batch_size None, or one at least the
     local dataset size, means the full local dataset; checkpoint_every None
     records every iteration up to 1000 total iterations and every 10th
     beyond that. The final iteration is always recorded. A non-integer
     iterations, batch_size or checkpoint_every, or one below 1, raises
-    ConfigError.
+    ConfigError, as does a seed that is not a SeedSequence or an integer >= 0.
     Bit-reproducible for fixed arguments and seed. Raises DivergenceError
     as soon as any parameter magnitude exceeds 1e9 or is NaN.
     """
-    iterations = _integer("iterations", iterations)
-    if iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    if checkpoint_every is not None and _integer("checkpoint_every", checkpoint_every) < 1:
-        raise ConfigError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    iterations = _integer("iterations", iterations, 1)
+    if checkpoint_every is not None:
+        _integer("checkpoint_every", checkpoint_every, 1)
     if batch_size is not None:
-        batch_size = _integer("batch_size", batch_size)
-        if batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+        batch_size = _integer("batch_size", batch_size, 1)
     if not 0.0 <= step_size < np.inf:
         raise ConfigError(f"step_size must be a nonnegative finite number, got {step_size}")
     if policy.n != g.n:
@@ -502,6 +505,7 @@ def train(
         raise DimensionError(f"data labels {data.labels.shape} do not stack n={g.n} nodes")
     if test.labels.ndim != 1:
         raise DimensionError(f"test labels {test.labels.shape} are not one (T,) set")
+    seed = _seed_sequence(seed)
     epsilon = default_epsilon(g) if epsilon is None else check_epsilon(g, epsilon)
     evaluate = task.evaluator(test.features, test.labels)
     decode = link_decoder(g)
@@ -510,26 +514,27 @@ def train(
     gradient = None if minibatch else task.gradient(data.features, data.labels)
     slot_bytes = code_dtype(g).itemsize * (g.arcs[0].size + g.n)
     if minibatch:
-        slot_bytes += data.features[:, :batch_size].nbytes + data.labels[:, :batch_size].nbytes
+        key = seed.spawn_key + (BATCH_STREAM_TAG,)
+        stream = np.random.SeedSequence(seed.entropy, spawn_key=key, pool_size=seed.pool_size)
+        batch_rng = np.random.default_rng(stream)
+        # A slot's share of _draw_batch, per node: batch_size swap positions,
+        # m indices, 2 * batch_size index copies that numpy's gather makes
+        # and 4 row temporaries, then its batch.
+        rows = g.n * (3 * batch_size + data.size + 4) * np.dtype(np.intp).itemsize
+        slot_bytes += rows + data.features[:, :batch_size].nbytes + data.labels[:, :batch_size].nbytes
     block = max(1, DECODE_BLOCK_BYTES // slot_bytes)
     params = np.zeros((g.n, task.dim))
     every = checkpoint_interval(iterations, checkpoint_every)
-    checkpoints, losses, accs, consensus = [], [], [], []
+    checkpoints = []  # (iteration, test loss, accuracy, consensus distance)
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(1, iterations + 1, block):
             slots = min(block, iterations + 1 - first)
+            decisions = sample_broadcast(policy, rng, slots)
             if minibatch:
-                # The stream's order: each slot's channel, then its minibatch.
-                decisions, batches = [], []
-                for _ in range(slots):
-                    decisions.append(sample_broadcast(policy, rng))
-                    batches.append(_draw_batch(data.features, data.labels, batch_size, rng))
-                decisions = np.array(decisions)
-            else:
-                decisions = sample_broadcast(policy, rng, slots)
+                features, labels = _draw_batch(data.features, data.labels, batch_size, batch_rng, slots)
             for t, (receivers, senders) in enumerate(decode(decisions), start=first):
                 if minibatch:
-                    gradient = task.gradient(*batches[t - first])
+                    gradient = task.gradient(features[t - first], labels[t - first])
                 # A slot that decodes no link mixes with the identity: the
                 # half-steps, a new array, are the new params as they are.
                 params = dsgd_step(
@@ -543,14 +548,9 @@ def train(
                         f"(step_size={step_size})"
                     )
                 if t % every == 0 or t == iterations:
-                    loss, acc, dist = _evaluate(evaluate, params)
-                    checkpoints.append(t)
-                    losses.append(loss)
-                    accs.append(acc)
-                    consensus.append(dist)
-    return MetricTrace(
-        iterations=np.array(checkpoints, dtype=np.int64),
-        avg_test_loss=np.array(losses),
-        accuracy=np.array(accs),
-        consensus_distance=np.array(consensus),
-    )
+                    # evaluate is the task's evaluator bound to the test set
+                    # (TaskSpec): one call for all n nodes.
+                    loss, acc = evaluate(params)
+                    checkpoints.append((t, loss, acc, float(((params - params.mean(axis=0)) ** 2).sum())))
+    steps, loss, acc, dist = (np.array(column) for column in zip(*checkpoints))
+    return MetricTrace(steps.astype(np.int64), avg_test_loss=loss, accuracy=acc, consensus_distance=dist)

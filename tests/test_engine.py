@@ -122,6 +122,11 @@ def test_bound_gradient_matches_per_call_formula(name, scale):
     np.testing.assert_array_equal(bound(params), bound(params))
 
 
+def _batch_stream(seed):
+    """The generator train draws a minibatch run's batches from: the seed's child keyed by BATCH_STREAM_TAG."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(learning.BATCH_STREAM_TAG,)))
+
+
 @pytest.mark.parametrize("name", ["classification", "regression"])
 def test_minibatch_run_draws_the_per_call_batches(name):
     task, _ = TASKS[name]
@@ -134,17 +139,18 @@ def test_minibatch_run_draws_the_per_call_batches(name):
     iterations, step_size, seed = 30, 0.05, 9
     trace = train(g, policy, task, data, test, iterations=iterations, step_size=step_size, batch_size=5,
                   seed=seed, checkpoint_every=1)
-    # The loop train ran before the gradient was bound: the channel first,
-    # then the batches from the same stream, one swap position per node and
-    # step of a partial Fisher-Yates shuffle, shuffled here node by node.
-    rng = np.random.default_rng(seed)
+    # The loop train ran before the gradient was bound, slot by slot: the
+    # channel from the run's stream, the batches from its batch stream, one
+    # swap position per node and step of a partial Fisher-Yates shuffle,
+    # shuffled here node by node.
+    rng, batch_rng = np.random.default_rng(seed), _batch_stream(seed)
     epsilon = default_epsilon(g)
     evaluate = task.evaluator(test.features, test.labels)
     params = np.zeros((g.n, task.dim))
     rows = np.arange(g.n)[:, np.newaxis]
     for t in range(iterations):
         receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
-        picks = rng.integers(np.arange(5), 12, size=(g.n, 5))
+        picks = batch_rng.integers(np.arange(5), 12, size=(g.n, 5))
         idx = np.empty((g.n, 5), dtype=np.int64)
         for i in range(g.n):
             order = list(range(12))
@@ -178,33 +184,76 @@ def test_one_local_gradient_call_per_slot(monkeypatch, batch_size):
 
 
 @pytest.mark.parametrize("batch_size", [None, 4])
-def test_one_sample_broadcast_call_per_slot_ahead_of_its_batch(monkeypatch, batch_size):
+def test_one_sample_broadcast_call_per_block_on_the_run_stream(monkeypatch, batch_size):
     events = []
     sample, draw = learning.sample_broadcast, learning._draw_batch
     fresh = np.random.default_rng(5).bit_generator.state
 
     def sampling(policy, rng, *slots):
-        events.append(("channel", policy, rng, rng.bit_generator.state if not events else None, slots))
+        events.append(("channel", policy, rng, rng.bit_generator.state, slots))
         return sample(policy, rng, *slots)
 
-    def drawing(features, labels, size, rng):
-        events.append(("batch", None, rng, None, None))
-        return draw(features, labels, size, rng)
+    def drawing(features, labels, size, rng, *slots):
+        events.append(("batch", None, rng, rng.bit_generator.state, slots))
+        return draw(features, labels, size, rng, *slots)
 
     monkeypatch.setattr("radsgd.learning.sample_broadcast", sampling)
     monkeypatch.setattr("radsgd.learning._draw_batch", drawing)
     data, test = generate_classification_data(8, 10, seed=0)
     policy = AccessPolicy.uniform(8, 0.3)
     train(ring(8), policy, classification_task(), data, test, iterations=7, batch_size=batch_size, seed=5)
+    # Every run draws its one block of 7 slots in one call, on the run's
+    # generator: seeded by seed and untouched before the first slot.
+    (channel,) = [event for event in events if event[0] == "channel"]
+    assert channel[4] == (7,) and channel[3] == fresh and channel[1] is policy
+    batches = [event for event in events if event[0] == "batch"]
     if batch_size is None:
-        # A full-batch run draws its one block of 7 slots in one call.
-        assert [(kind, slots) for kind, *_, slots in events] == [("channel", (7,))]
+        assert batches == []
     else:
-        assert [kind for kind, *_ in events] == ["channel", "batch"] * 7
-    # One generator, the run's: seeded by seed and untouched before the first slot.
-    assert events[0][3] == fresh
-    assert all(rng is events[0][2] for _, _, rng, _, _ in events)
-    assert all(p is policy for kind, p, _, _, _ in events if kind == "channel")
+        # The block's batches: one call on a generator of their own, fresh
+        # from the batch stream.
+        assert [(rng is channel[2], state, slots) for _, _, rng, state, slots in batches] == [
+            (False, _batch_stream(5).bit_generator.state, (7,))
+        ]
+
+
+def test_minibatch_run_draws_the_full_batch_channel(monkeypatch):
+    # The channel depends on the policy, the graph and the seed alone: a
+    # minibatch run, whose blocks hold fewer slots, draws the broadcast rows
+    # of the full-batch run with the same seed.
+    g = erdos_renyi(20, 0.3, seed=2)
+    data, test = generate_classification_data(20, 15, seed=4)
+    sample = learning.sample_broadcast
+    rows = {}
+
+    def sampling(policy, rng, slots):
+        rows[batch_size].append(sample(policy, rng, slots))
+        return rows[batch_size][-1]
+
+    monkeypatch.setattr("radsgd.learning.sample_broadcast", sampling)
+    monkeypatch.setattr(learning, "DECODE_BLOCK_BYTES", 1 << 16)
+    for batch_size in (None, 8):
+        rows[batch_size] = []
+        train(g, AccessPolicy.uniform(20, 0.2), classification_task(), data, test, iterations=100,
+              step_size=0.05, batch_size=batch_size, seed=3)
+    assert len(rows[None]) < len(rows[8])
+    assert np.array_equal(np.concatenate(rows[None]), np.concatenate(rows[8]))
+
+
+def test_runs_on_one_seed_sequence_repeat():
+    # train derives the batch stream without spawn, which would count a
+    # child on the caller's SeedSequence and give its next run other
+    # batches; an integer seed runs as the SeedSequence it seeds.
+    data, test = generate_classification_data(8, 10, seed=0)
+    seed = np.random.SeedSequence(11)
+    first, second, third = (
+        train(ring(8), AccessPolicy.uniform(8, 0.3), classification_task(), data, test, iterations=20,
+              step_size=0.05, batch_size=4, seed=run)
+        for run in (seed, seed, 11)
+    )
+    assert seed.n_children_spawned == 0
+    _assert_same_trace(second, first)
+    _assert_same_trace(third, first)
 
 
 @pytest.mark.parametrize("graph", ["ring", "erdos_renyi"])
@@ -294,9 +343,9 @@ def test_decoder_code_width_leaves_the_links_unchanged(monkeypatch, name):
         assert np.array_equal(senders, wide_senders)
 
 
-def _slot_by_slot(g, policy, task, data, test, iterations, step_size, seed):
-    """train's run replayed one slot at a time: channel, decode, step, checkpoint."""
-    rng = np.random.default_rng(seed)
+def _slot_by_slot(g, policy, task, data, test, iterations, step_size, seed, batch_size=None):
+    """train's run replayed one slot at a time: channel, batch, decode, step, checkpoint."""
+    rng, batch_rng = np.random.default_rng(seed), _batch_stream(seed)
     epsilon = default_epsilon(g)
     gradient = task.gradient(data.features, data.labels)
     evaluate = task.evaluator(test.features, test.labels)
@@ -304,6 +353,9 @@ def _slot_by_slot(g, policy, task, data, test, iterations, step_size, seed):
     losses, accs, consensus = [], [], []
     for _ in range(iterations):
         receivers, senders = decoding_links(g, sample_broadcast(policy, rng))
+        if batch_size is not None:
+            features, labels = learning._draw_batch(data.features, data.labels, batch_size, batch_rng, 1)
+            gradient = task.gradient(features[0], labels[0])
         params = mix_slot(params - step_size * gradient(params), receivers, senders, epsilon)
         loss, acc = evaluate(params)
         losses.append(loss)
@@ -312,17 +364,19 @@ def _slot_by_slot(g, policy, task, data, test, iterations, step_size, seed):
     return np.array(losses), np.array(accs), np.array(consensus)
 
 
-@pytest.mark.parametrize("size, p", [
-    pytest.param("small", 0.2, id="small"),
-    pytest.param("large", 0.2, id="large"),
-    pytest.param("one_slot_blocks", 0.2, id="one_slot_blocks"),
+@pytest.mark.parametrize("size, p, batch_size", [
+    pytest.param("small", 0.2, None, id="small"),
+    pytest.param("large", 0.2, None, id="large"),
+    pytest.param("one_slot_blocks", 0.2, None, id="one_slot_blocks"),
     # No slot decodes a link: train passes the half-steps through unmixed.
-    pytest.param("small", 0.0, id="small-p0"),
-    pytest.param("small", 1.0, id="small-p1"),
-    pytest.param("large", 0.0, id="large-p0"),
-    pytest.param("large", 1.0, id="large-p1"),
+    pytest.param("small", 0.0, None, id="small-p0"),
+    pytest.param("small", 1.0, None, id="small-p1"),
+    pytest.param("large", 0.0, None, id="large-p0"),
+    pytest.param("large", 1.0, None, id="large-p1"),
+    # Minibatches: one block draw equals one-slot draws on the batch stream.
+    pytest.param("small", 0.2, 8, id="small-batch8"),
 ])
-def test_block_run_equals_slot_by_slot_replay(size, p):
+def test_block_run_equals_slot_by_slot_replay(monkeypatch, size, p, batch_size):
     if size == "small":
         g, task = erdos_renyi(20, 0.3, seed=2), classification_task()
         data, test = generate_classification_data(20, 15, seed=4)
@@ -335,12 +389,17 @@ def test_block_run_equals_slot_by_slot_replay(size, p):
     assert {"small": block > 100, "large": 1 < block < 20, "one_slot_blocks": block == 1}[size]
     iterations = 2 * block + 3  # with blocks longer than one slot, the last block is short
     policy = AccessPolicy.uniform(g.n, p)
-    trace = train(g, policy, task, data, test, iterations=iterations, step_size=0.05, seed=7, checkpoint_every=1)
-    losses, accs, consensus = _slot_by_slot(g, policy, task, data, test, iterations, 0.05, 7)
-    assert np.array_equal(trace.iterations, np.arange(1, iterations + 1))
-    assert np.array_equal(trace.avg_test_loss, losses)
-    assert np.array_equal(trace.accuracy, accs, equal_nan=True)
-    assert np.array_equal(trace.consensus_distance, consensus)
+    losses, accs, consensus = _slot_by_slot(g, policy, task, data, test, iterations, 0.05, 7, batch_size)
+    # A minibatch slot holds its draw too, so its blocks are shorter; these
+    # bounds give them 1 slot, some and all of the run.
+    for decode_bytes in (DECODE_BLOCK_BYTES,) if batch_size is None else (3000, DECODE_BLOCK_BYTES, 1 << 24):
+        monkeypatch.setattr(learning, "DECODE_BLOCK_BYTES", decode_bytes)
+        trace = train(g, policy, task, data, test, iterations=iterations, step_size=0.05, batch_size=batch_size,
+                      seed=7, checkpoint_every=1)
+        assert np.array_equal(trace.iterations, np.arange(1, iterations + 1))
+        assert np.array_equal(trace.avg_test_loss, losses)
+        assert np.array_equal(trace.accuracy, accs, equal_nan=True)
+        assert np.array_equal(trace.consensus_distance, consensus)
 
 
 def _assert_same_trace(got, want):

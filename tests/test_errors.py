@@ -56,6 +56,14 @@ CASES = {
     "train_batch_size_float": (ConfigError, lambda: _train(iterations=2, batch_size=1.5)),
     "train_batch_size_zero": (ConfigError, lambda: _train(iterations=2, batch_size=0)),
     "train_batch_size_negative": (ConfigError, lambda: _train(iterations=2, batch_size=-3)),
+    "train_seed_negative": (ConfigError, lambda: _train(iterations=2, seed=-1)),
+    "train_seed_float": (ConfigError, lambda: _train(iterations=2, seed=1.5)),
+    "train_seed_str": (ConfigError, lambda: _train(iterations=2, seed="3")),
+    "train_seed_generator": (ConfigError, lambda: _train(iterations=2, seed=np.random.default_rng(0))),
+    "regression_seed_negative": (ConfigError, lambda: generate_regression_data(4, 5, -1)),
+    "regression_seed_float": (ConfigError, lambda: generate_regression_data(4, 5, 1.5)),
+    "classification_seed_negative": (ConfigError, lambda: generate_classification_data(4, 5, -1)),
+    "classification_seed_float": (ConfigError, lambda: generate_classification_data(4, 5, 1.5)),
 }
 
 

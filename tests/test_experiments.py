@@ -780,8 +780,36 @@ def test_cli_analyze_grid_ends_at_one(tmp_path):
     assert p[-1] == 1.0 and np.all(np.diff(p) > 0)
 
 
+@pytest.mark.parametrize("batch_size", [None, 4], ids=["full-batch", "batch4"])
+def test_extending_the_p_grid_leaves_existing_cells_unchanged(tmp_path, batch_size):
+    # A cell's streams are keyed by its p's bits and its replicate
+    # (run_seed), its minibatches by its run seed: adding p = 0.2 to the
+    # grid moves no byte of the rows at 0.1 and 0.3.
+    text = (
+        "topology = ring\nn = 8\ntask = classification\neta = 0.05\niterations = 20\nreplicates = 2\n"
+        "seed = 7\nsamples_per_node = 12\ncheckpoint_every = 5\n"
+        + ("" if batch_size is None else f"batch_size = {batch_size}\n")
+    )
+    rows = {}
+    for grid in ("0.1, 0.3", "0.1, 0.2, 0.3"):
+        config = _write_config(tmp_path / "t.cfg", text + f"p = {grid}\n")
+        out = tmp_path / grid.replace(", ", "_")
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_bytes().splitlines(keepends=True)
+        rows[grid] = [line for line in lines[1:] if not line.startswith(b"0.2,")]
+    assert len(rows["0.1, 0.3"]) == 2 * 2 * 4
+    assert rows["0.1, 0.2, 0.3"] == rows["0.1, 0.3"]
+
+
 def test_cli_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def _set_posixly_correct(monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv("POSIXLY_CORRECT", raising=False)
+    else:
+        monkeypatch.setenv("POSIXLY_CORRECT", value)
 
 
 @pytest.mark.parametrize("argv", [
@@ -789,15 +817,22 @@ def test_cli_help_exits_zero():
     pytest.param(["-h"], id="h"),
     pytest.param(["train", "--config", "x.cfg", "-h"], id="train-h"),
     pytest.param(["topology", "--he"], id="help-prefix"),
+    # Help after a usage error still prints help: flags are read past strays.
+    pytest.param(["sweep", "stray", "-h"], id="stray-h"),
+    pytest.param(["frobnicate", "-h"], id="unknown-command-h"),
 ])
-def test_cli_help_prints_every_command(capsys, argv):
-    capsys.readouterr()
-    assert main(argv) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    for name, (_, help_text) in radsgd.cli._COMMANDS.items():
-        assert f"radsgd {name} --config PATH [--out DIR]" in out and help_text in out, out
-    assert "[--parallel K]" in out
+def test_cli_help_prints_every_command(monkeypatch, capsys, argv):
+    # POSIXLY_CORRECT stops getopt.gnu_getopt at the first non-flag; the
+    # CLI parses the same with and without it.
+    for posix in (None, "1"):
+        _set_posixly_correct(monkeypatch, posix)
+        capsys.readouterr()
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        for name, (_, help_text) in radsgd.cli._COMMANDS.items():
+            assert f"radsgd {name} --config PATH [--out DIR]" in out and help_text in out, out
+        assert "[--parallel K]" in out
 
 
 def test_readme_shows_the_cli_usage(capsys):
@@ -831,11 +866,13 @@ def test_cli_flag_spellings_write_the_same_outputs(tmp_path, flags):
     pytest.param("sweep --config {config} --out {out} stray", "'stray'", id="stray"),
     pytest.param("sweep --config {config} --out {out} --parallel x", "--parallel", id="parallel-x"),
 ])
-def test_cli_usage_errors_exit_one_with_one_error_line(tmp_path, capsys, argv, field):
+def test_cli_usage_errors_exit_one_with_one_error_line(monkeypatch, tmp_path, capsys, argv, field):
     config = _write_config(tmp_path / "t.cfg", BASE_SWEEP)
     paths = {"config": config, "out": str(tmp_path / "out")}
-    _assert_config_error(capsys, [arg.format(**paths) for arg in argv.split()], field)
-    assert not (tmp_path / "out").exists()
+    for posix in (None, "1"):
+        _set_posixly_correct(monkeypatch, posix)
+        _assert_config_error(capsys, [arg.format(**paths) for arg in argv.split()], field)
+        assert not (tmp_path / "out").exists()
 
 
 def test_plots_emitted_when_enabled(tmp_path):

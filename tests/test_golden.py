@@ -15,7 +15,9 @@ rate moved from the general eigensolver to the symmetric reduction. Both
 changes reorder floating-point sums, so a change may move the last bits
 but nothing more. The train_classification_batch8 entries were recorded
 again, alone, when the minibatch draw became one partial Fisher-Yates
-shuffle of all nodes, which reads a different random stream. Rerecord
+shuffle of all nodes, which reads a different random stream, and again,
+alone, when minibatches moved to a stream of their own, apart from the
+channel's, drawn a block of slots at a time. Rerecord
 the entries whose outputs a change is meant to move, and only those, with
 
     PYTHONPATH=src python tests/test_golden.py NAME...
@@ -64,7 +66,8 @@ RUNS = {
         probabilities=(0.1, 0.3), replicates=2, seed=3,
         checkpoint_every=25,
     )),
-    # Minibatches draw per-node indices from the run's stream in node order.
+    # Minibatches draw per-node indices from the run's batch stream, slot by
+    # slot and in node order; the channel keeps the run's own stream.
     "train_classification_batch8": ("train", ExperimentConfig(
         topology="erdos_renyi", n=20, edge_prob=0.3, graph_seed=0,
         task="classification", eta=0.05, iterations=200, batch_size=8,

@@ -246,9 +246,9 @@ def test_batch_sampling_is_without_replacement():
     data = LocalDataset(np.zeros((3, 10, 0)), np.tile(labels, (3, 1)))
     rng = np.random.default_rng(0)
     for size in (1, 4, 9):
-        _, batch = _draw_batch(data.features, data.labels, size, rng)
-        assert batch.shape == (3, size)
-        assert all(len(np.unique(row)) == size for row in batch)
+        _, batch = _draw_batch(data.features, data.labels, size, rng, 5)
+        assert batch.shape == (5, 3, size)
+        assert all(len(np.unique(row)) == size for row in batch.reshape(-1, size))
     # batch >= dataset size keeps the full batch, so the gradient is exact
     # and the run equals the full-batch one bit for bit.
     g = ring(6)
@@ -264,15 +264,14 @@ def test_batch_sampling_is_without_replacement():
 @pytest.mark.parametrize("size", [1, 4, 9])
 def test_batch_draws_every_index_equally_often(size):
     # Each of the m indices is in a node's batch with probability size / m;
-    # over `draws` slots its count is binomial, so its frequency lies within
-    # 4 standard errors of size / m at every node.
+    # over `draws` slots, one block, its count is binomial, so its frequency
+    # lies within 4 standard errors of size / m at every node.
     n, m, draws = 5, 10, 2000
     data = LocalDataset(np.zeros((n, m, 0)), np.tile(np.arange(m, dtype=float), (n, 1)))
     rng = np.random.default_rng(7)
     counts = np.zeros((n, m))
-    for _ in range(draws):
-        _, batch = _draw_batch(data.features, data.labels, size, rng)
-        np.add.at(counts, (np.arange(n)[:, np.newaxis], batch.astype(int)), 1)
+    _, batch = _draw_batch(data.features, data.labels, size, rng, draws)
+    np.add.at(counts, (np.arange(n)[:, np.newaxis], batch.astype(int)), 1)
     p = size / m
     se = np.sqrt(p * (1 - p) / draws)
     assert np.abs(counts / draws - p).max() <= 4 * se
@@ -317,6 +316,33 @@ def test_graph_and_training_allocate_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 10, peak
+
+
+@pytest.mark.parametrize("samples, batch_size", [(15, 8), (400, 3)])
+def test_minibatch_draw_stays_within_the_block_bound(monkeypatch, samples, batch_size):
+    # A block's _draw_batch call holds its swap positions, its (slots * n, m)
+    # index rows and its batches; train sizes the block so that they and the
+    # block's decoder codes fit in DECODE_BLOCK_BYTES. At m = 400 the index
+    # rows dominate: a block holds 3 slots.
+    g = erdos_renyi(20, 0.3, seed=2)
+    data, test = generate_classification_data(20, samples, seed=4)
+    draws, draw = [], radsgd.learning._draw_batch
+
+    def drawing(features, labels, size, rng, slots):
+        tracemalloc.start()
+        try:
+            batch = draw(features, labels, size, rng, slots)
+            draws.append((slots, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return batch
+
+    monkeypatch.setattr(radsgd.learning, "_draw_batch", drawing)
+    train(g, AccessPolicy.uniform(20, 0.2), classification_task(), data, test, iterations=100,
+          step_size=0.05, batch_size=batch_size)
+    assert sum(slots for slots, _ in draws) == 100 and len(draws) > 1
+    assert max(slots for slots, _ in draws) > 1
+    assert max(peak for _, peak in draws) <= radsgd.learning.DECODE_BLOCK_BYTES, draws
 
 
 def test_train_divergence_detection():
