@@ -503,20 +503,17 @@ def cmd_topology(config: ExperimentConfig, out_dir: str = ".") -> dict:
     with open(edges_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(to_edge_list(g))
     degrees = g.degrees
-    lap_spectrum = np.linalg.eigvalsh(g.laplacian)
-    connectivity = float(lap_spectrum[1])
-    histogram = {int(d): int(count) for d, count in zip(*np.unique(degrees, return_counts=True))}
+    connectivity = float(np.linalg.eigvalsh(g.laplacian)[1])
     report_lines = [
         f"nodes: {g.n}",
         f"edges: {g.edge_count}",
-        "degree histogram: " + ", ".join(f"{d}x{c}" for d, c in sorted(histogram.items())),
+        "degree histogram: " + ", ".join(f"{d}x{c}" for d, c in zip(*np.unique(degrees, return_counts=True))),
         f"algebraic connectivity: {connectivity!r}",
     ]
     report_path = os.path.join(out_dir, "topology_report.txt")
     with open(report_path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(report_lines) + "\n")
-    for line in report_lines:
-        print(line)
+    print("\n".join(report_lines))
     print(f"wrote {edges_path}")
     return {
         "edges_path": edges_path,

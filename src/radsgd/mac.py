@@ -16,15 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, DomainError, InvalidLinkError
-from .topology import Graph
+from .topology import Graph, check_fits
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # 2^n enumeration cap for the exact-throughput oracle.
 MAX_BRUTE_FORCE_NODES = 20
-# Bound on the (points, n) terms expected_throughput holds at once; a
-# quarter of it bounds each call of optimal_access_probability's search.
-THROUGHPUT_BLOCK_BYTES = 1 << 15
 
 # link_decoder multiplies and sums its arc codes in int32 while every
 # node's code sum stays below this bound, and in int64 otherwise.
@@ -216,41 +213,49 @@ def success_probability_matrix(g: Graph, policy: AccessPolicy) -> np.ndarray:
     return s
 
 
+def over_probabilities(p, f):
+    """f(p flattened), shaped as p (a float for a float p); DomainError names the first p NaN or outside [0, 1]."""
+    ps = np.asarray(p, dtype=float)
+    bad = ~((ps >= 0.0) & (ps <= 1.0))
+    if bad.any():
+        raise DomainError(f"access probability must lie in [0, 1], got {ps[bad].flat[0]}")
+    values = f(ps.ravel()).reshape(ps.shape)
+    return float(values) if ps.ndim == 0 else values
+
+
+def _degree_histogram(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct degrees of g, ascending, and how many nodes have each."""
+    counts = np.bincount(g.degrees)
+    return np.flatnonzero(counts), counts[counts > 0]
+
+
 def expected_throughput(g: Graph, p):
     """Expected number of successful deliveries in one slot under uniform p.
 
     Equals p * sum_i d_i (1-p)^{d_i}: each of node i's d_i incoming links
-    succeeds with probability p (1-p)^{d_i}. A float p gives a float; an
-    array gives an array of its shape, each entry bit-identical to the
-    float call, with at most THROUGHPUT_BLOCK_BYTES of (points, n) terms
-    held at once. Raises DomainError naming the first p that is NaN or
-    outside [0, 1].
+    succeeds with probability p (1-p)^{d_i}. Summed over the degree
+    histogram, p * sum_d count_d d (1-p)^d, it has no node order. A float p
+    gives a float, an array an array of its shape; each point is one row of
+    one (points, distinct degrees) array, so each entry is bit-identical to
+    the float call. Raises DomainError naming the first p that is NaN or
+    outside [0, 1], or when that array does not fit (check_fits).
     """
-    ps = np.asarray(p, dtype=float)
-    good = (ps >= 0.0) & (ps <= 1.0)
-    if not good.all():
-        raise DomainError(f"access probability must lie in [0, 1], got {ps[~good].flat[0]}")
-    d = g.degrees
-    flat = ps.ravel()
-    values = np.empty(flat.shape)
-    rows = max(1, THROUGHPUT_BLOCK_BYTES // (8 * d.size))
-    for first in range(0, flat.size, rows):
-        q = flat[first:first + rows, np.newaxis]
-        # Each row is summed over the nodes as the 1-D sum of one p would be.
-        values[first:first + rows] = q[:, 0] * np.add.reduce(d * (1.0 - q) ** d, axis=1)
-    return float(values[0]) if ps.ndim == 0 else values.reshape(ps.shape)
+    degrees, counts = _degree_histogram(g)
+    check_fits(8 * np.size(p) * degrees.size, f"the throughput at {np.size(p)} access probabilities", DomainError)
+    weights = counts * degrees
+    return over_probabilities(p, lambda ps: ps * np.add.reduce(weights * (1.0 - ps[:, np.newaxis]) ** degrees, axis=1))
 
 
 def throughput_derivative(g: Graph, p: float) -> float:
     """First derivative of expected_throughput in p.
 
-    Equals sum_i d_i (1-p)^{d_i - 1} (1 - p (1 + d_i)); positive below
-    1/(1 + d_max), negative above 1/(1 + d_min).
+    Equals sum_i d_i (1-p)^{d_i - 1} (1 - p (1 + d_i)), summed over the
+    degree histogram; positive below 1/(1 + d_max), negative above 1/(1 + d_min).
     """
     if not 0.0 <= p < 1.0:
         raise DomainError(f"derivative requires 0 <= p < 1, got {p}")
-    d = g.degrees
-    return float(np.sum(d * (1.0 - p) ** (d - 1) * (1.0 - p * (1.0 + d))))
+    d, counts = _degree_histogram(g)
+    return float(np.sum(counts * d * (1.0 - p) ** (d - 1) * (1.0 - p * (1.0 + d))))
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-9, lookahead: int = 0) -> float:
@@ -258,7 +263,10 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-9, lookahead: in
 
     f maps a 1-D array of points to the array of their values. The search
     keeps a bracket [a, b] with inner points c < d, narrows it to [a, d] when
-    f(c) >= f(d) and to [c, b] otherwise, and stops once b - a <= tol.
+    f(c) >= f(d) and to [c, b] otherwise, and stops once b - a <= tol or
+    an inner point rounds onto an end, where a step would no longer shrink
+    the bracket: any tol >= 0 stops at float resolution. Raises DomainError
+    for an empty or non-finite bracket and a NaN or negative tol or lookahead.
 
     A call of f evaluates the point the search needs next together with
     every point that its next `lookahead` evaluations could need, on both
@@ -269,14 +277,13 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-9, lookahead: in
     float. Lookahead 0 asks for one point per call.
     """
     a, b = float(lo), float(hi)
-    if not a < b:
-        raise DomainError(f"bracket [{lo}, {hi}] is empty")
-    if lookahead < 0:
-        raise DomainError(f"lookahead must be at least 0, got {lookahead}")
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    if not -np.inf < a < b < np.inf:
+        raise DomainError(f"bracket [{lo}, {hi}] must be finite and nonempty")
+    if not (tol >= 0.0 and lookahead >= 0):
+        raise DomainError(f"tol and lookahead must be at least 0, got {tol} and {lookahead}")
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     known = {}
-    while b - a > tol:
+    while _open(a, b, c, d, tol):
         while c not in known or d not in known:
             points = _upcoming_points(a, b, c, d, known, tol, lookahead + 1)
             known.update(zip(points, f(np.array(points))))
@@ -301,20 +308,25 @@ def _narrow(a, b, c, d, left: bool) -> tuple:
     return c, b, d, c + _INVPHI * (b - c)
 
 
+def _open(a, b, c, d, tol: float) -> bool:
+    """Whether golden_section_max compares on (a, b, c, d): b - a > tol, c and d strictly inside."""
+    return b - a > tol and a < c and d < b
+
+
 def _upcoming_points(a, b, c, d, known: dict, tol: float, levels: int) -> list:
     """The points golden_section_max may evaluate in its next `levels` evaluations from the bracket (a, b, c, d).
 
     First the inner points without a known value, c before d; each later
     level holds the new point of each side of every comparison still open,
-    where the narrowed bracket is still wider than tol (else the search
-    stops there and never compares it).
+    where the narrowed bracket is still open (else the search stops there
+    and never compares it).
     """
     points = [x for x in (c, d) if x not in known][:levels]
     brackets = [(a, b, c, d)]
     for _ in range(levels - len(points)):
         # A left step makes a new c (index 2), a right step a new d (index 3).
         steps = [(_narrow(*q, left), 2 if left else 3) for q in brackets for left in (True, False)]
-        steps = [(q, new) for q, new in steps if q[1] - q[0] > tol]
+        steps = [(q, new) for q, new in steps if _open(*q, tol)]
         brackets = [q for q, _ in steps]
         points += [q[new] for q, new in steps]
     return points
@@ -327,16 +339,13 @@ def optimal_access_probability(g: Graph) -> float:
     the throughput increases below the lower end and decreases above the
     upper end. Uniform-degree graphs collapse the bracket to exactly
     1/(1 + d); otherwise golden-section search resolves the maximum to
-    better than 1e-6, looking as far ahead as search_lookahead allows
-    for (n, points) blocks of THROUGHPUT_BLOCK_BYTES // 4.
+    better than 1e-6, the same float however the nodes are numbered.
     """
-    d = g.degrees
-    lo = 1.0 / (1.0 + d.max())
-    hi = 1.0 / (1.0 + d.min())
+    lo, hi = 1.0 / (1.0 + g.degrees.max()), 1.0 / (1.0 + g.degrees.min())
     if lo == hi:
         return lo
-    lookahead = search_lookahead(g.n, THROUGHPUT_BLOCK_BYTES // 4)
-    return golden_section_max(lambda ps: expected_throughput(g, ps), lo, hi, tol=1e-9, lookahead=lookahead)
+    # The throughput sums over distinct degrees, so a round of up to 7 points costs about one point's call.
+    return golden_section_max(lambda ps: expected_throughput(g, ps), lo, hi, tol=1e-9, lookahead=2)
 
 
 def brute_force_expected_throughput(g: Graph, policy: AccessPolicy) -> float:

@@ -27,7 +27,7 @@ from .errors import DimensionError, DomainError
 
 # perfbench wraps radsgd.mixing.success_probability_matrix and
 # radsgd.mixing.spectral_radius by these names; keep both resolvable here.
-from .mac import AccessPolicy, golden_section_max, search_lookahead, success_probability_matrix
+from .mac import AccessPolicy, golden_section_max, over_probabilities, search_lookahead, success_probability_matrix
 from .topology import Graph, check_fits
 
 # Bound on the working arrays of one consensus_rate call: each (n, block)
@@ -170,12 +170,7 @@ def consensus_rate(g: Graph, epsilon: float, p):
     DomainError if any p is NaN or outside [0, 1], and GraphError when the
     n x n arrays that building L^+ holds (RATE_SOLVER_MATRICES) do not fit.
     """
-    ps = np.asarray(p, dtype=float)
-    bad = ~((ps >= 0.0) & (ps <= 1.0))
-    if bad.any():
-        raise DomainError(f"access probability must lie in [0, 1], got {ps[bad].flat[0]}")
-    rates = _rate_solver(g, epsilon)(ps.ravel()).reshape(ps.shape)
-    return float(rates) if ps.ndim == 0 else rates
+    return over_probabilities(p, lambda ps: _rate_solver(g, epsilon)(ps))
 
 
 @functools.lru_cache(maxsize=1)
@@ -364,8 +359,7 @@ def refine_spectral_minimum(g: Graph, epsilon: float, ps: np.ndarray, rates: np.
     optimum then moves by at most the search's tolerance.
     """
     k = int(np.argmin(rates))
-    lo = float(ps[max(k - 1, 0)])
-    hi = float(ps[min(k + 1, len(ps) - 1)])
+    lo, hi = float(ps[max(k - 1, 0)]), float(ps[min(k + 1, len(ps) - 1)])
     if lo == hi:
         return lo
     solve = _rate_solver(g, epsilon)

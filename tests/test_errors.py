@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import radsgd.topology
 from radsgd.errors import ConfigError, DimensionError, DomainError, GraphError, RadsgdError
 from radsgd.learning import (
     LocalDataset,
@@ -44,6 +45,11 @@ CASES = {
     "throughput_p_array_nan": (DomainError, lambda: expected_throughput(ring(4), np.array([0.2, np.nan]))),
     "throughput_p_array_above_one": (DomainError, lambda: expected_throughput(ring(4), np.array([[0.2], [1.5]]))),
     "search_negative_lookahead": (DomainError, lambda: golden_section_max(lambda x: -x, 0.0, 1.0, lookahead=-1)),
+    "search_tol_nan": (DomainError, lambda: golden_section_max(lambda x: -x, 0.0, 1.0, tol=np.nan)),
+    "search_tol_negative": (DomainError, lambda: golden_section_max(lambda x: -x, 0.0, 1.0, tol=-1.0)),
+    "search_hi_inf": (DomainError, lambda: golden_section_max(lambda x: -x, 0.0, np.inf)),
+    "search_lo_negative_inf": (DomainError, lambda: golden_section_max(lambda x: -x, -np.inf, 1.0)),
+    "search_lo_nan": (DomainError, lambda: golden_section_max(lambda x: -x, np.nan, 1.0)),
     "dataset_nan_feature": (DomainError, lambda: LocalDataset(np.full((2, 1), np.nan), np.zeros(2))),
     "dataset_inf_label": (DomainError, lambda: LocalDataset(np.zeros((2, 1)), np.array([0.0, np.inf]))),
     "regression_samples_bytes": (DimensionError, lambda: generate_regression_data(4, 3 * 10 ** 18, 0)),
@@ -73,6 +79,16 @@ def test_bad_arguments_raise_radsgd_errors(name):
     assert issubclass(error, RadsgdError)
     with pytest.raises(error):
         call()
+
+
+def test_expected_throughput_checks_physical_memory(monkeypatch):
+    # 200000 points of one distinct degree take 1.6 MB of terms.
+    ps = np.full(200_000, 0.3)
+    monkeypatch.setattr(radsgd.topology, "physical_memory", lambda: 1 << 20)
+    with pytest.raises(DomainError, match="physical memory"):
+        expected_throughput(ring(4), ps)
+    monkeypatch.setattr(radsgd.topology, "physical_memory", lambda: 4 << 20)
+    assert expected_throughput(ring(4), ps).shape == ps.shape
 
 
 def test_train_takes_numpy_integers():

@@ -17,7 +17,15 @@ but nothing more. The train_classification_batch8 entries were recorded
 again, alone, when the minibatch draw became one partial Fisher-Yates
 shuffle of all nodes, which reads a different random stream, and again,
 alone, when minibatches moved to a stream of their own, apart from the
-channel's, drawn a block of slots at a time. Rerecord
+channel's, drawn a block of slots at a time. The analyze_er and
+analyze_ring entries were recorded again, alone, when the throughput
+became a sum over the degree histogram instead of over the nodes: its
+column moved by at most 6.2e-16 relative, and analyze_er's throughput
+optimum by 1.15e-8 relative, past RTOL, because golden-section search at
+tol 1e-9 cannot place the maximizer of a curve this flat at its top finer
+than a few 1e-9 (both values lie within 5e-9 of the root of the
+derivative). Their consensus_rate columns then took the current solver's
+values, within 5.7e-15 of the eigensolver-era ones. Rerecord
 the entries whose outputs a change is meant to move, and only those, with
 
     PYTHONPATH=src python tests/test_golden.py NAME...

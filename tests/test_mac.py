@@ -1,9 +1,12 @@
 """Random-access channel tests: sampling, transmission outcomes, throughput."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radsgd import mac, mixing
 from radsgd.errors import DimensionError, DomainError, InvalidLinkError
@@ -12,6 +15,7 @@ from radsgd.mac import (
     brute_force_expected_throughput,
     expected_throughput,
     golden_section_max,
+    link_decoder,
     link_success_prob,
     optimal_access_probability,
     sample_broadcast,
@@ -20,7 +24,7 @@ from radsgd.mac import (
     throughput_derivative,
     transmission_matrix,
 )
-from radsgd.topology import complete, erdos_renyi, from_edge_list, ring
+from radsgd.topology import Graph, complete, erdos_renyi, from_edge_list, ring
 
 COLLISION_DOC = "n 5\n0 1\n0 4\n3 2\n3 4\n"
 PATH3 = from_edge_list("n 3\n0 1\n1 2\n")
@@ -298,6 +302,34 @@ def test_search_evaluates_no_point_past_the_tolerance():
     assert calls == [4]
 
 
+@pytest.mark.parametrize("lookahead", [0, 2])
+@pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-300])
+def test_search_below_float_resolution_stops(tol, lookahead):
+    # No bracket around 0.3 gets narrower than 1e-17; rounding stops the
+    # search once an inner point lands on an end. A search that never stops
+    # fails instead of hanging the suite: f raises after 500 calls, and an
+    # alarm after 10 s catches a loop that spins on values it already has.
+    calls = []
+
+    def f(points):
+        calls.append(len(points))
+        if len(calls) > 500:
+            raise RuntimeError("golden_section_max did not stop")
+        return -(points - 0.3) ** 2
+
+    def stuck(signum, frame):
+        raise RuntimeError("golden_section_max did not stop within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        p = golden_section_max(f, 0.0, 1.0, tol=tol, lookahead=lookahead)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert abs(p - 0.3) <= 4 * np.spacing(0.3)
+
+
 def test_first_comparison_of_the_tie_case_is_a_tie():
     f, lo, hi, _ = SEARCH_CASES["first_comparison_ties"]
     c = hi - mac._INVPHI * (hi - lo)
@@ -389,15 +421,13 @@ def test_spectral_refinement_solves_a_round_per_call(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [20, 100, 400, 1000])
-def test_expected_throughput_on_an_array_equals_the_float_calls(n, monkeypatch):
+def test_expected_throughput_on_an_array_equals_the_float_calls(n):
     g = erdos_renyi(n, min(1.0, 10.0 / n), seed=n)
     ps = np.minimum(np.arange(0.0, 1.002, 0.004), 1.0)
     scalar = np.array([expected_throughput(g, float(p)) for p in ps])
     assert all(type(expected_throughput(g, float(p))) is float for p in ps[:3])
     assert np.array_equal(expected_throughput(g, ps), scalar)
     assert np.array_equal(expected_throughput(g, ps.reshape(-1, 1)), scalar.reshape(-1, 1))
-    monkeypatch.setattr(mac, "THROUGHPUT_BLOCK_BYTES", 1)  # one point per block
-    assert np.array_equal(expected_throughput(g, ps), scalar)
     assert expected_throughput(g, np.empty((0, 3))).shape == (0, 3)
     with pytest.raises(DomainError, match=r"got 1\.5$"):
         expected_throughput(g, np.array([0.2, 1.5, np.nan]))
@@ -453,3 +483,40 @@ def test_monte_carlo_link_frequencies():
     for i in range(6):
         for j in g.neighbors(i):
             assert abs(freq[i, j] - target) < 0.01
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A connected graph, a renumbering perm of its nodes, and the graph whose node perm[i] is its node i.
+
+    The relabelled graph is built from the edge list renumbered, shuffled
+    and with each pair reversed.
+    """
+    n = draw(st.integers(2, 40))
+    pairs = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80))
+    g = Graph(n, np.array(pairs + [(i, j) for i, j in extra if i != j]))
+    perm = np.array(draw(st.permutations(range(n))))
+    order = np.array(draw(st.permutations(range(g.edge_count))))
+    return g, perm, Graph(n, perm[g.edges[order]][:, ::-1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(graphs=relabelled_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_node_labels_move_no_throughput_bit(graphs, seed):
+    g, perm, h = graphs
+    ps = np.minimum(np.arange(0.0, 1.002, 0.004), 1.0)
+    assert np.array_equal(expected_throughput(h, ps), expected_throughput(g, ps))
+    assert optimal_access_probability(h) == optimal_access_probability(g)
+    # Node i of g broadcasts in the slots where node perm[i] of h does.
+    block = (np.random.default_rng(seed).random((8, g.n)) < 0.3).astype(np.int64)
+    relabelled = np.empty_like(block)
+    relabelled[:, perm] = block
+    for (receivers, senders), got in zip(link_decoder(g)(block), link_decoder(h)(relabelled)):
+        order = np.argsort(perm[receivers])
+        assert np.array_equal(got[0], perm[receivers][order]) and np.array_equal(got[1], perm[senders][order])
+    # The rate reads L^+ in label order, so it keeps only _rate_solver's stated error.
+    eps = mixing.default_epsilon(g)
+    rate_ps = np.linspace(0.0, 1.0, 26)
+    moved = mixing.consensus_rate(h, eps, rate_ps) - mixing.consensus_rate(g, eps, rate_ps)
+    assert np.all(np.abs(moved) <= mixing.RITZ_RTOL)
