@@ -9,6 +9,8 @@ and this package provides both sides of that comparison plus the full
 training loop over non-IID local datasets.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DimensionError,
@@ -19,18 +21,6 @@ from .errors import (
     GraphError,
     InvalidLinkError,
     RadsgdError,
-)
-from .learning import (
-    LocalDataset,
-    MetricTrace,
-    TaskSpec,
-    classification_task,
-    dsgd_step,
-    generate_classification_data,
-    generate_regression_data,
-    local_gradient,
-    regression_task,
-    train,
 )
 from .mac import (
     AccessPolicy,
@@ -66,3 +56,28 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
+
+# The training stack, resolved on first use: importing radsgd, or running
+# analyze or topology, never loads radsgd.learning.
+_LEARNING = (
+    "LocalDataset", "MetricTrace", "TaskSpec", "classification_task", "dsgd_step",
+    "generate_classification_data", "generate_regression_data", "local_gradient",
+    "regression_task", "train",
+)
+__all__ = sorted(
+    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+    + list(_LEARNING)
+)
+
+
+def __getattr__(name):
+    if name in _LEARNING:
+        from . import learning
+
+        value = globals()[name] = getattr(learning, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LEARNING))

@@ -27,15 +27,6 @@ from collections.abc import Iterable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError
-from .learning import (
-    checkpoint_interval,
-    classification_task,
-    full_batch,
-    generate_classification_data,
-    generate_regression_data,
-    regression_task,
-    train,
-)
 from .mac import AccessPolicy, expected_throughput, optimal_access_probability
 from .mixing import SCAN_POINT_BYTES, check_epsilon, consensus_rate_scan, default_epsilon, refine_spectral_minimum
 from .topology import check_fits, complete, erdos_renyi, from_edge_list, ring, to_edge_list
@@ -57,6 +48,35 @@ SPECTRUM_MATRICES = 3
 
 _TOPOLOGIES = ("ring", "complete", "erdos_renyi", "edge_list")
 _TASKS = ("regression", "classification")
+
+# The names this module takes from learning. analyze and topology never
+# train, so learning loads only for a config that names a task. parse_config
+# binds these names here before the graph and data are built, which keeps a
+# sweep's peak RSS below loading learning after them; _build and
+# build_datasets bind them for callers that skip parse_config.
+_LEARNING_NAMES = (
+    "checkpoint_interval", "classification_task", "full_batch", "generate_classification_data",
+    "generate_regression_data", "regression_task", "train",
+)
+
+
+def _bind_learning():
+    """Bind learning's names into this module, keeping any already bound.
+
+    A name replaced from outside (a wrapper around train, a test double)
+    stays, and the calls here go through it.
+    """
+    from . import learning
+
+    for name in _LEARNING_NAMES:
+        globals().setdefault(name, getattr(learning, name))
+
+
+def __getattr__(name):
+    if name in _LEARNING_NAMES:
+        _bind_learning()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,6 +197,8 @@ def parse_config(path: str) -> ExperimentConfig:
         kwargs[name] = parse(key, value)
     config = ExperimentConfig(**kwargs)
     _validate(config)
+    if config.task is not None:
+        _bind_learning()
     return config
 
 
@@ -237,6 +259,7 @@ def build_graph(config: ExperimentConfig):
 
 def build_datasets(config: ExperimentConfig, n: int):
     """The stacked node data plus the shared test set, from the dedicated data stream."""
+    _bind_learning()
     data_seed = np.random.SeedSequence([config.seed, DATA_STREAM_TAG])
     if config.task == "regression":
         return generate_regression_data(n, config.samples_per_node, data_seed)
@@ -332,6 +355,7 @@ def _build(config: ExperimentConfig):
     """
     if config.task is None:
         raise ConfigError("task is required for this command (regression or classification)")
+    _bind_learning()
     task = regression_task() if config.task == "regression" else classification_task()
     g = build_graph(config)
     epsilon = _resolve_epsilon(config, g)

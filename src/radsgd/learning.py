@@ -36,9 +36,10 @@ from .mixing import compensate, mask_by_transmission  # noqa: F401
 from .topology import Graph, check_fits
 
 DIVERGENCE_LIMIT = 1e9
-# Bound on the logits block a classification evaluator holds at once; it
-# sets how many nodes share one (k, N_CLASSES, T) product.
-EVAL_BLOCK_BYTES = 1 << 17
+# Bound on the logits block a classification evaluator holds; it sets how
+# many nodes share one (k, N_CLASSES, T) product. Chosen by timing at 20
+# nodes x 2000 test samples: 4 nodes a block beat 2 and 16, and tied 8.
+EVAL_BLOCK_BYTES = 1 << 18
 # Bound on what train holds for a block of slots drawn ahead of their steps:
 # one decoder integer (mac.code_dtype) per arc of the 2|E| + n that each
 # slot decodes, and each slot's minibatch draw (see _draw_batch). It sets
@@ -87,6 +88,8 @@ class TaskSpec:
     that predict gets right), or NaN for the accuracy when predict is None.
     It equals the per-node loss and predict calls to rounding, from
     statistics of the test set computed once and with bounded temporaries.
+    The bound function may reuse work arrays made when it was bound, so it
+    is not reentrant: one run calls it, one call at a time.
     """
 
     dim: int
@@ -249,6 +252,10 @@ def classification_task() -> TaskSpec:
         # right when its label scores the top and no earlier class reaches it.
         earlier = classes < labels  # (N_CLASSES, T)
         block = max(1, EVAL_BLOCK_BYTES // (N_CLASSES * size * 8))
+        # One block's scores and tie mask, made once per bind and refilled
+        # for every block of every call.
+        scores = np.empty((block, N_CLASSES, size))
+        tied = np.empty(scores.shape, dtype=bool)
 
         def evaluate(params):
             weights = np.swapaxes(params.reshape(-1, rows, N_CLASSES), -1, -2)
@@ -256,12 +263,14 @@ def classification_task() -> TaskSpec:
             # block length does not group the float sums.
             losses, right = np.empty(weights.shape[0]), 0
             for start in range(0, weights.shape[0], block):
-                z = weights[start:start + block] @ inputs  # (k, N_CLASSES, T)
+                k = min(block, weights.shape[0] - start)
+                z, ties = scores[:k], tied[:k]  # (k, N_CLASSES, T)
+                np.matmul(weights[start:start + k], inputs, out=z)
                 z -= np.maximum.reduce(z, axis=-2)[:, np.newaxis]
                 # Shifted by its top score, a sample's scores are 0 exactly
                 # where they tie the top, and its label's is z_label - top.
-                shifted = np.take(z.reshape(z.shape[0], -1), label_at, axis=1)  # (k, T)
-                ties = z == 0.0
+                shifted = np.take(z.reshape(k, -1), label_at, axis=1)  # (k, T)
+                np.equal(z, 0.0, out=ties)
                 ties &= earlier
                 right += np.count_nonzero((shifted == 0.0) & ~np.logical_or.reduce(ties, axis=-2))
                 # -log softmax of the label: log(sum exp(z - top)) - (z_label - top).

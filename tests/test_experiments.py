@@ -465,6 +465,63 @@ def test_serial_commands_load_no_pool_machinery_or_argparse(tmp_path):
     assert loaded == []
 
 
+# The names experiments takes from learning when a command trains.
+EXPERIMENTS_LEARNING_NAMES = (
+    "checkpoint_interval", "classification_task", "full_batch", "generate_classification_data",
+    "generate_regression_data", "regression_task", "train",
+)
+
+
+def test_analyze_and_topology_never_load_the_training_stack(tmp_path):
+    # A fresh interpreter imports radsgd and runs analyze and topology,
+    # then train and sweep, noting after each whether learning is loaded.
+    # Then the package's exports: the lazy ones resolve, a star import
+    # binds every name of __all__, and experiments calls learning's own
+    # functions.
+    sweep = _write_config(tmp_path / "sweep.cfg", BASE_SWEEP)
+    train = _write_config(tmp_path / "train.cfg", BASE_SWEEP.replace("p = 0, 0.3333333333333333, 1", "p = 0.3"))
+    ring = _write_config(tmp_path / "ring.cfg", "topology = ring\nn = 6\ngrid_step = 0.25\n")
+    commands = [("analyze", ring), ("topology", ring), ("train", train), ("sweep", sweep)]
+    runs = [[command, "--config", config, "--out", str(tmp_path / "late" / command)] for command, config in commands]
+    script = (
+        "import json, sys\n"
+        "import radsgd\n"
+        "from radsgd import experiments\n"
+        "from radsgd.cli import main\n"
+        "steps = [['import', 0, 'radsgd.learning' in sys.modules]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    steps.append([argv[0], main(argv), 'radsgd.learning' in sys.modules])\n"
+        "unresolved = [name for name in radsgd.__all__ if getattr(radsgd, name, None) is None]\n"
+        "star = {}\n"
+        "exec('from radsgd import *', star)\n"
+        "unbound = [name for name in radsgd.__all__ if star.get(name) is not getattr(radsgd, name)]\n"
+        "from radsgd import learning\n"
+        "foreign = [name for name in json.loads(sys.argv[2])\n"
+        "           if getattr(experiments, name) is not getattr(learning, name)]\n"
+        "print(json.dumps([steps, radsgd.__all__, unresolved, unbound, foreign]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(radsgd.experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), json.dumps(EXPERIMENTS_LEARNING_NAMES)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    steps, exported, unresolved, unbound, foreign = json.loads(proc.stdout.splitlines()[-1])
+    assert steps == [
+        ["import", 0, False], ["analyze", 0, False], ["topology", 0, False], ["train", 0, True], ["sweep", 0, True],
+    ]
+    assert {"LocalDataset", "MetricTrace", "TaskSpec", "train", "regression_task", "classification_task"} <= set(exported)
+    assert (unresolved, unbound, foreign) == ([], [], [])
+    # The commands that loaded learning late write what a run that loaded
+    # it first writes.
+    for command, config in commands[2:]:
+        assert main([command, "--config", config, "--out", str(tmp_path / "early" / command)]) == 0
+        late, early = tmp_path / "late" / command, tmp_path / "early" / command
+        assert sorted(path.name for path in late.iterdir()) == sorted(path.name for path in early.iterdir())
+        for path in late.iterdir():
+            assert path.read_bytes() == (early / path.name).read_bytes(), path.name
+
+
 def test_cmd_sweep_mixing_beats_endpoints(tmp_path):
     result = cmd_sweep(_sweep_config(iterations=100), out_dir=str(tmp_path))
     losses = result["mean_final_loss"]
