@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError
-from .mac import AccessPolicy, code_dtype, link_decoder, sample_broadcast
+from .mac import AccessPolicy, link_decoder, sample_broadcast, slots_per_word
 from .mixing import check_epsilon, default_epsilon, mix_slot
 
 # The dense per-slot chain that mix_slot replaces in train. perfbench wraps
@@ -41,9 +41,14 @@ DIVERGENCE_LIMIT = 1e9
 # nodes x 2000 test samples: 4 nodes a block beat 2 and 16, and tied 8.
 EVAL_BLOCK_BYTES = 1 << 18
 # Bound on what train holds for a block of slots drawn ahead of their steps:
-# one decoder integer (mac.code_dtype) per arc of the 2|E| + n that each
-# slot decodes, and each slot's minibatch draw (see _draw_batch). It sets
-# how many slots share one decoder call.
+# what its decode call holds, and each slot's minibatch draw (see
+# _draw_batch). It sets how many slots share one decoder call. A decode call
+# (mac.link_decoder) holds whole words of mac.slots_per_word(g) slots, and
+# per word, measured with tracemalloc, the larger of its two stages plus 1 KiB:
+# the gather and segmented sum, 8 bytes per arc of the 2|E| + n and per
+# node; or the links it hands out, per slot 8 bytes per node for the
+# unpacked sums and 16 per decoded link (at most one per node), plus at
+# most 512 bytes of Python objects.
 DECODE_BLOCK_BYTES = 1 << 18
 # Keys a run's minibatch stream off its seed, apart from its channel stream.
 BATCH_STREAM_TAG = 0xBA7C
@@ -391,6 +396,23 @@ def _draw_batch(features: np.ndarray, labels: np.ndarray, batch_size: int, rng: 
     return features[nodes, idx].reshape(shape + features.shape[2:]), labels[nodes, idx].reshape(shape)
 
 
+def _block_length(g: Graph, draw_bytes: int) -> int:
+    """How many slots train draws and decodes at once on g, for draw_bytes of minibatch draws per slot.
+
+    A block holds whole words of mac.slots_per_word(g) slots, as many as
+    fit in DECODE_BLOCK_BYTES with their draws, and at least one, since a
+    partly filled word costs a decode call as much as a full one. Only when
+    one word's draws alone break the bound does a block hold part of a
+    word: as many slots as fit, at least one.
+    """
+    per_word = slots_per_word(g)
+    word_bytes = max(8 * (g.arcs[0].size + 2 * g.n), per_word * (24 * g.n + 512)) + 1024
+    full_word = word_bytes + per_word * draw_bytes
+    if full_word <= DECODE_BLOCK_BYTES or not draw_bytes:
+        return per_word * max(1, DECODE_BLOCK_BYTES // full_word)
+    return max(1, (DECODE_BLOCK_BYTES - word_bytes) // draw_bytes)
+
+
 def dsgd_step(
     params: np.ndarray,
     step_size: float,
@@ -489,8 +511,10 @@ def train(
     would count a child on a caller's SeedSequence). So the channel does
     not depend on the batch size, and the block length moves no draw.
     Then one decoder call decodes the block's decisions, and each slot
-    takes its step, divergence check and checkpoint. A block holds at most
-    DECODE_BLOCK_BYTES of arc values and minibatch draws.
+    takes its step, divergence check and checkpoint. A block holds whole
+    words of the decoder's packing (mac.slots_per_word), and its decode
+    call and minibatch draws hold at most DECODE_BLOCK_BYTES unless the
+    smallest block alone holds more (see _block_length).
 
     epsilon None means 1/(d_max + 1); batch_size None, or one at least the
     local dataset size, means the full local dataset; checkpoint_every None
@@ -521,7 +545,7 @@ def train(
     rng = np.random.default_rng(seed)
     minibatch = not full_batch(batch_size, data.size)
     gradient = None if minibatch else task.gradient(data.features, data.labels)
-    slot_bytes = code_dtype(g).itemsize * (g.arcs[0].size + g.n)
+    draw_bytes = 0
     if minibatch:
         key = seed.spawn_key + (BATCH_STREAM_TAG,)
         stream = np.random.SeedSequence(seed.entropy, spawn_key=key, pool_size=seed.pool_size)
@@ -530,8 +554,8 @@ def train(
         # m indices, 2 * batch_size index copies that numpy's gather makes
         # and 4 row temporaries, then its batch.
         rows = g.n * (3 * batch_size + data.size + 4) * np.dtype(np.intp).itemsize
-        slot_bytes += rows + data.features[:, :batch_size].nbytes + data.labels[:, :batch_size].nbytes
-    block = max(1, DECODE_BLOCK_BYTES // slot_bytes)
+        draw_bytes = rows + data.features[:, :batch_size].nbytes + data.labels[:, :batch_size].nbytes
+    block = _block_length(g, draw_bytes)
     params = np.zeros((g.n, task.dim))
     every = checkpoint_interval(iterations, checkpoint_every)
     checkpoints = []  # (iteration, test loss, accuracy, consensus distance)

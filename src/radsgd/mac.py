@@ -23,10 +23,6 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 # 2^n enumeration cap for the exact-throughput oracle.
 MAX_BRUTE_FORCE_NODES = 20
 
-# link_decoder multiplies and sums its arc codes in int32 while every
-# node's code sum stays below this bound, and in int64 otherwise.
-INT32_CODE_LIMIT = 1 << 31
-
 # One slot's decoded links: int64 (receivers, senders), receivers ascending.
 Links = tuple[np.ndarray, np.ndarray]
 
@@ -69,15 +65,14 @@ def sample_broadcast(policy: AccessPolicy, rng: np.random.Generator, slots: int 
     return (rng.random(shape) < policy.probs).astype(np.int64)
 
 
-def code_dtype(g: Graph) -> np.dtype:
-    """The integer type in which link_decoder(g) computes: int32 or int64.
+def slots_per_word(g: Graph) -> int:
+    """How many slots link_decoder(g) packs into one uint64 word per node: 64 // bit_length(2n(d_max + 1)).
 
     Node i's arc codes sum to below 2n(d_i + 1): d_i neighbour codes below
-    2n and its own code 2n. int32 holds every sum while 2n(d_max + 1) is
-    below INT32_CODE_LIMIT.
+    2n and its own code 2n. So a field of bit_length(2n(d_max + 1)) bits
+    holds any node's sum in any slot.
     """
-    bound = 2 * g.n * (int(g.degrees.max()) + 1)
-    return np.dtype(np.int32 if bound < INT32_CODE_LIMIT else np.int64)
+    return 64 // (2 * g.n * (int(g.degrees.max()) + 1)).bit_length()
 
 
 def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
@@ -92,11 +87,18 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
     codes of the arcs whose end broadcasts sum to a value in [n, 2n)
     exactly when i is silent and one neighbour j broadcasts, and the value
     is then n + j; silence everywhere sums to 0, and a broadcast by i or
-    by two neighbours to at least 2n. So a block costs one gather of
-    b != 0 over its slots and the 2|E| + n arcs, one segmented sum over
-    each slot's arcs, and one nonzero over the (slots, n) values. The
-    product and the sums are in code_dtype(g), int32 on any graph whose
-    sums fit.
+    by two neighbours to at least 2n.
+
+    The slots go in words: each node's broadcasts in k = slots_per_word(g)
+    slots are the bits of one uint64, slot s at bit s * (64 // k), so that
+    each slot owns a field of at least the bit length of every code sum.
+    Multiplying a word by an arc's code then puts the code in the field of
+    each slot in which that arc's end broadcasts, and a sum of such
+    products adds each slot's codes in its own field without a carry into
+    the next. So a block costs one gather over its words and the 2|E| + n
+    arcs, one product and one segmented sum per word, not per slot; the
+    fields are then cut out to the (slots, n) sums, and one nonzero over
+    them finds the values in [n, 2n).
 
     An unchecked per-slot internal: the bound function checks only the
     shape of b (DimensionError unless it is (slots, n)), and any entry
@@ -114,31 +116,46 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
     sources = np.empty(heads.size + n, dtype=np.intp)  # the node each arc listens to
     sources[moved] = tails
     sources[own] = nodes
-    codes = np.empty(heads.size + n, dtype=code_dtype(g))
-    unsigned = np.dtype(f"u{codes.itemsize}")
+    codes = np.empty(heads.size + n, dtype=np.uint64)
     codes[moved] = n + tails
     codes[own] = 2 * n
+    per_word = slots_per_word(g)
+    width = 64 // per_word
+    shifts = range(0, per_word * width, width)
+    ones = np.left_shift(np.uint64(1), np.array(shifts, dtype=np.uint64))  # a broadcast in every slot
+    field = (1 << width) - 1
 
     def decode(b) -> list[Links]:
         bits = np.asarray(b)
         if bits.ndim != 2 or bits.shape[1] != n:
             raise DimensionError(f"broadcast block shape {bits.shape} does not match n={n} as (slots, n)")
-        # astype(bool) is b != 0, in one pass without a scalar operand; a
-        # take along the arc axis returns the gather C-ordered, so the
-        # product and the sums stay one contiguous pass per slot.
-        # The sums keep the codes' type; add.reduceat would widen int32.
-        value = np.add.reduceat(
-            np.take(bits.astype(bool), sources, axis=1) * codes, starts, axis=1, dtype=codes.dtype,
-        )
+        slots = bits.shape[0]
+        words = -(-slots // per_word)
+        # value is rebound at each stage, so each stage's input is freed
+        # once read. Assigning b into a bool array is b != 0; the rows past
+        # the block fill its last word with silent slots.
+        value = np.zeros((words * per_word, n), dtype=bool)
+        value[:slots] = bits
+        value = np.matmul(ones, value.reshape(words, per_word, n))  # (words, n) packed broadcasts
+        value = np.take(value, sources, axis=1)  # C-ordered, one contiguous pass per word
+        value *= codes
+        value = np.add.reduceat(value, starts, axis=1)
+        # One shift per field: numpy copies a broadcast array of shifts to
+        # the output's size, a scalar it does not.
+        fields = np.empty((words, per_word, n), dtype=np.uint64)
+        for s, shift in enumerate(shifts):
+            np.right_shift(value, shift, out=fields[:, s])
+        value = fields.reshape(-1)[:bits.size]
+        value &= field
         value -= n
-        # Negative values wrap to above the signed maximum as unsigned, so
-        # one compare keeps exactly the values in [0, n).
-        value = value.ravel()
-        flat = (value.view(unsigned) < n).nonzero()[0]
-        senders = value[flat].astype(np.int64, copy=False)
-        # flat holds the positions slot * n + receiver, ascending.
+        # Values below n wrap to above it, so one compare keeps exactly
+        # the values in [0, n).
+        flat = (value < n).nonzero()[0]
+        senders = value[flat].view(np.int64)
+        # flat holds the positions slot * n + receiver, ascending; the
+        # receivers overwrite them once the slots' bounds are found.
         bounds = np.searchsorted(flat, np.arange(0, bits.size + 1, n)).tolist()
-        receivers = flat % n
+        receivers = np.remainder(flat, n, out=flat)
         return [(receivers[lo:hi], senders[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     return decode

@@ -239,7 +239,9 @@ def erdos_renyi(n: int, edge_prob: float, seed: int) -> Graph:
         pairs = []
         for start in range(0, n, rows):
             block = rng.random((min(rows, n - start), n)) < edge_prob
-            u, v = np.nonzero(block)
+            # The pairs in row order: a flat nonzero and a divmod take a
+            # fraction of the time of numpy's 2-D nonzero.
+            u, v = np.divmod(np.flatnonzero(block), n)
             u += start
             upper = u < v
             pairs.append(np.stack((u[upper], v[upper]), axis=1))

@@ -321,26 +321,54 @@ def test_decoding_links_follow_the_collision_rule(name):
 
 @pytest.mark.parametrize("name", sorted(DECODER_GRAPHS))
 def test_decoder_code_width_leaves_the_links_unchanged(monkeypatch, name):
-    # At a limit equal to the graph's bound 2n(d_max + 1) on a node's code
-    # sum, the decoder computes in int64, as on a graph too large for int32.
+    # One slot per word gives each slot's code sum a whole uint64; the
+    # natural packing gives it a field of 64 // slots_per_word(g) bits.
     g = DECODER_GRAPHS[name]
-    bound = 2 * g.n * (int(g.degrees.max()) + 1)
     rng = np.random.default_rng(6)
     block = np.concatenate(
         [np.zeros((1, g.n), dtype=np.int64), np.ones((1, g.n), dtype=np.int64)]
         + [sample_broadcast(AccessPolicy.uniform(g.n, p), rng, 40) for p in (0.1, 0.3, 0.6)]
     )
+    packed = mac.slots_per_word(g)
+    assert packed > 1
     decoded = {}
-    for limit, width in ((bound + 1, np.int32), (bound, np.int64)):
-        monkeypatch.setattr(mac, "INT32_CODE_LIMIT", limit)
-        assert mac.code_dtype(g) == width
-        decoded[width] = link_decoder(g)(block)
-    assert len(decoded[np.int32]) == len(decoded[np.int64]) == len(block)
-    for (receivers, senders), (wide_receivers, wide_senders) in zip(decoded[np.int32], decoded[np.int64]):
+    for per_word in (packed, 1):
+        monkeypatch.setattr(mac, "slots_per_word", lambda _: per_word)
+        decoded[per_word] = link_decoder(g)(block)
+    assert len(decoded[packed]) == len(decoded[1]) == len(block)
+    for (receivers, senders), (wide_receivers, wide_senders) in zip(decoded[packed], decoded[1]):
         for links in (receivers, senders, wide_receivers, wide_senders):
             assert links.dtype == np.int64
         assert np.array_equal(receivers, wide_receivers)
         assert np.array_equal(senders, wide_senders)
+
+
+@pytest.mark.parametrize("g, tight", [
+    pytest.param(complete(8), False, id="complete8"),
+    pytest.param(Graph(8, [(0, j) for j in range(1, 8)]), False, id="star8"),
+    pytest.param(complete(7), True, id="complete7"),
+])
+def test_decoder_fields_carry_nothing_into_the_next_slot(g, tight):
+    # Blocks in which all nodes broadcast, or all but one, drive each
+    # node's code sum to its largest values in every field of several
+    # words. On complete(8) and star(8), 2n(d_max + 1) = 128 = 2^7, so
+    # slots_per_word gives 8-bit fields, which the sums (at most 100) do
+    # not fill. On complete(7) it is 98: the all-ones sums reach 77, above
+    # 2^6, so a field one bit narrower than the 7 bits would carry into
+    # the next slot (tight).
+    per_word = mac.slots_per_word(g)
+    width = 64 // per_word
+    sums = [sum(g.n + j for j in g.neighbors(i)) + 2 * g.n for i in range(g.n)]
+    assert max(sums) < 2 ** width
+    assert (max(sums) >= 2 ** (width - 1)) == tight
+    all_but_one = np.ones((g.n, g.n), dtype=np.int64) - np.eye(g.n, dtype=np.int64)
+    for block in (np.ones((3 * per_word + 1, g.n), dtype=np.int64), np.tile(all_but_one, (per_word, 1))):
+        rows = link_decoder(g)(block)
+        assert len(rows) == len(block)
+        for b, (receivers, senders) in zip(block, rows):
+            want_receivers, want_senders = _collision_rule(g, b)
+            assert receivers.tolist() == want_receivers
+            assert senders.tolist() == want_senders
 
 
 def _slot_by_slot(g, policy, task, data, test, iterations, step_size, seed, batch_size=None):
@@ -384,9 +412,11 @@ def test_block_run_equals_slot_by_slot_replay(monkeypatch, size, p, batch_size):
         n, edge_prob = (400, 0.025) if size == "large" else (2000, 0.01)
         g, task = erdos_renyi(n, edge_prob, seed=2), regression_task()
         data, test = generate_regression_data(n, 15, seed=4)
-    # train's block length: DECODE_BLOCK_BYTES over one decoder integer per arc and node.
-    block = max(1, DECODE_BLOCK_BYTES // (mac.code_dtype(g).itemsize * (g.arcs[0].size + g.n)))
-    assert {"small": block > 100, "large": 1 < block < 20, "one_slot_blocks": block == 1}[size]
+    # train's full-batch block length, in whole words of the decoder's
+    # packing; ER(2000, 0.01) makes the smallest block, one word.
+    block, per_word = learning._block_length(g, 0), mac.slots_per_word(g)
+    assert block % per_word == 0
+    assert {"small": block > 100, "large": 1 < block // per_word < 20, "one_slot_blocks": block == per_word}[size]
     iterations = 2 * block + 3  # with blocks longer than one slot, the last block is short
     policy = AccessPolicy.uniform(g.n, p)
     losses, accs, consensus = _slot_by_slot(g, policy, task, data, test, iterations, 0.05, 7, batch_size)
@@ -461,11 +491,14 @@ def test_block_constants_leave_the_trace_unchanged(monkeypatch, run):
 
 
 def test_train_blocks_follow_the_code_width(monkeypatch):
-    # ring(8) decodes 24 arcs a slot: a 384-byte block holds 4 slots of
-    # int32 codes and 2 of int64 ones, drawn in one call each.
+    # ring(8) packs 10 slots a word, whose decode call counts
+    # 10 * (24 * 8 + 512) + 1024 = 8064 bytes. A bound of two such words
+    # gives blocks of 20 slots; at one slot a word, a word counts 1728
+    # bytes and a block holds 9. Each block is one call; the last is short.
     g = ring(8)
     data, test = generate_regression_data(8, 5, seed=0)
-    monkeypatch.setattr(learning, "DECODE_BLOCK_BYTES", 384)
+    assert mac.slots_per_word(g) == 10
+    monkeypatch.setattr(learning, "DECODE_BLOCK_BYTES", 2 * 8064)
     calls, sample = [], learning.sample_broadcast
 
     def sampling(policy, rng, slots):
@@ -474,12 +507,13 @@ def test_train_blocks_follow_the_code_width(monkeypatch):
 
     monkeypatch.setattr("radsgd.learning.sample_broadcast", sampling)
     traces = []
-    for limit, blocks in ((mac.INT32_CODE_LIMIT, [4, 4, 1]), (1, [2, 2, 2, 2, 1])):
-        monkeypatch.setattr(mac, "INT32_CODE_LIMIT", limit)
+    for per_word, blocks in ((10, [20, 20, 5]), (1, [9, 9, 9, 9, 9])):
+        monkeypatch.setattr(mac, "slots_per_word", lambda _: per_word)
+        monkeypatch.setattr(learning, "slots_per_word", lambda _: per_word)
         calls.clear()
         traces.append(train(
             g, AccessPolicy.uniform(8, 0.3), regression_task(), data, test,
-            iterations=9, step_size=0.05, seed=3, checkpoint_every=1,
+            iterations=45, step_size=0.05, seed=3, checkpoint_every=1,
         ))
         assert calls == blocks
     _assert_same_trace(traces[1], traces[0])

@@ -19,7 +19,7 @@ from radsgd.learning import (
     regression_task,
     train,
 )
-from radsgd.mac import AccessPolicy
+from radsgd.mac import AccessPolicy, optimal_access_probability
 from radsgd.mixing import base_weight_matrix
 from radsgd.topology import complete, erdos_renyi, ring
 
@@ -343,6 +343,38 @@ def test_minibatch_draw_stays_within_the_block_bound(monkeypatch, samples, batch
     assert sum(slots for slots, _ in draws) == 100 and len(draws) > 1
     assert max(slots for slots, _ in draws) > 1
     assert max(peak for _, peak in draws) <= radsgd.learning.DECODE_BLOCK_BYTES, draws
+
+
+@pytest.mark.parametrize("graph", ["er20", "er400", "ring1000"])
+def test_decode_calls_stay_within_the_block_bound(monkeypatch, graph):
+    # train sizes a block so that its decode call holds at most
+    # DECODE_BLOCK_BYTES at its peak: the gather and sums over the block's
+    # words, then the unpacked sums, the links and their Python objects.
+    # p is the throughput optimum, where the most links are decoded.
+    g = {"er20": erdos_renyi(20, 0.3, seed=2), "er400": erdos_renyi(400, 0.025, seed=2), "ring1000": ring(1000)}[graph]
+    data, test = generate_regression_data(g.n, 4, seed=4)
+    calls, bind = [], radsgd.learning.link_decoder
+
+    def binding(graph):
+        decode = bind(graph)
+
+        def measured(b):
+            tracemalloc.start()
+            try:
+                links = decode(b)
+                calls.append((len(b), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return links
+
+        return measured
+
+    monkeypatch.setattr(radsgd.learning, "link_decoder", binding)
+    train(g, AccessPolicy.uniform(g.n, optimal_access_probability(g)), regression_task(), data, test,
+          iterations=500, step_size=0.05)
+    assert sum(slots for slots, _ in calls) == 500 and len(calls) > 1
+    assert max(slots for slots, _ in calls) > 1
+    assert max(peak for _, peak in calls) <= radsgd.learning.DECODE_BLOCK_BYTES, calls
 
 
 def test_train_divergence_detection():
