@@ -11,6 +11,7 @@ import numpy as np
 from radsgd.mac import (
     AccessPolicy,
     expected_throughput,
+    link_decoder,
     link_success_prob,
     sample_broadcast,
     transmission_matrix,
@@ -36,12 +37,13 @@ p = 0.4
 print(f"\nlink 0->4 success probability: {link_success_prob(g, policy, 4, 0):.4f}")
 print(f"by hand, p(1-p)^2 = {p * (1 - p) ** 2:.4f}  (receiver 4 has two neighbors)")
 
-# Empirical check over many slots.
+# Empirical check over many slots: one draw of the whole block, the same
+# rows as that many one-slot draws, decoded by one bound decoder.
 slots = 50_000
-counts = np.zeros((g.n, g.n))
-for _ in range(slots):
-    counts += transmission_matrix(g, sample_broadcast(policy, rng))
-print(f"empirical 0->4 frequency over {slots} slots: {counts[4, 0] / slots:.4f}")
+links = link_decoder(g)(sample_broadcast(policy, rng, slots))
+receivers, senders = (np.concatenate(side) for side in zip(*links))
+hits = np.count_nonzero((receivers == 4) & (senders == 0))
+print(f"empirical 0->4 frequency over {slots} slots: {hits / slots:.4f}")
 
 # Throughput (expected delivered packets per slot) is zero at both ends:
 # nobody talks at p=0, everybody collides at p=1.

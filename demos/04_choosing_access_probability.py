@@ -26,8 +26,9 @@ for name, g in (("ring(20)", ring(20)), ("erdos_renyi(20, 0.3, seed=0)", erdos_r
     print(f"  spectral-optimal p:   {p_spec:.4f}")
     print(f"  gap: {abs(p_thr - p_spec):.4f}")
 
-# On the ring both optimizers sit at exactly 1/3: each node has two
-# neighbors, and p(1-p)^2 peaks where the consensus spectral radius
-# bottoms out. The coincidence survives on irregular graphs with a small
-# gap, so tuning the channel for raw packet delivery is already a good
-# proxy for tuning it for fast averaging.
+# Both optimizers are p = 1/(1 + a weighted mean degree): the throughput
+# weighs node i by S_i d_i, with S_i = p(1-p)^{d_i}, and the consensus rate
+# by y_i^2, for lambda_2's eigenvector y. On the ring every degree is 2, so
+# both sit at exactly 1/3. On irregular graphs the two weightings differ
+# only a little, so the gap stays small, and tuning the channel for raw
+# packet delivery is already a good proxy for tuning it for fast averaging.

@@ -27,7 +27,6 @@ from .mac import (
     brute_force_expected_throughput,
     decoding_links,
     expected_throughput,
-    golden_section_max,
     link_success_prob,
     optimal_access_probability,
     sample_broadcast,

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, InvalidLinkError
 from .topology import Graph, check_fits
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
 # 2^n enumeration cap for the exact-throughput oracle.
 MAX_BRUTE_FORCE_NODES = 20
 
@@ -271,98 +269,62 @@ def throughput_derivative(g: Graph, p: float) -> float:
     """
     if not 0.0 <= p < 1.0:
         raise DomainError(f"derivative requires 0 <= p < 1, got {p}")
+    return float(_throughput_slope(g)(np.array([p]))[0])
+
+
+def _throughput_slope(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
+    """throughput_derivative bound to g's degree histogram, on a 1-D array of p in [0, 1)."""
     d, counts = _degree_histogram(g)
-    return float(np.sum(counts * d * (1.0 - p) ** (d - 1) * (1.0 - p * (1.0 + d))))
+    return lambda ps: np.add.reduce(counts * d * (1.0 - ps[:, None]) ** (d - 1) * (1.0 - ps[:, None] * (1.0 + d)), axis=1)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-9, lookahead: int = 0) -> float:
-    """Golden-section search for the maximizer of a unimodal f on [lo, hi].
+def sign_change(f, lo: float, hi: float) -> float:
+    """Where f turns from positive to negative in [lo, hi]: for the derivative of a function with one maximum there, its maximizer.
 
-    f maps a 1-D array of points to the array of their values. The search
-    keeps a bracket [a, b] with inner points c < d, narrows it to [a, d] when
-    f(c) >= f(d) and to [c, b] otherwise, and stops once b - a <= tol or
-    an inner point rounds onto an end, where a step would no longer shrink
-    the bracket: any tol >= 0 stops at float resolution. Raises DomainError
-    for an empty or non-finite bracket and a NaN or negative tol or lookahead.
-
-    A call of f evaluates the point the search needs next together with
-    every point that its next `lookahead` evaluations could need, on both
-    sides of each comparison whose values are not yet known: at most
-    2^(lookahead + 1) - 1 points. The search then replays its comparisons
-    on the cached values, so every lookahead visits the same points and,
-    when f gives a point the same value in any call, returns the same
-    float. Lookahead 0 asks for one point per call.
+    f maps a 1-D array of points to their values. One call takes both ends,
+    and lo is returned if f(lo) <= 0, hi if f(hi) >= 0. Each later call
+    takes one point of a bracket a < b with f(a) > 0 > f(b), a float or more
+    inside it: the regula falsi point with the value at an end kept twice
+    in a row halved (Illinois), or the midpoint after three steps that did
+    not halve the bracket, so any f, a jump too, costs at most four calls a
+    halving. It returns an exact 0 of f, or at adjacent floats the end of
+    smaller |f|. Raises DomainError for a bracket not finite or lo > hi.
     """
     a, b = float(lo), float(hi)
-    if not -np.inf < a < b < np.inf:
-        raise DomainError(f"bracket [{lo}, {hi}] must be finite and nonempty")
-    if not (tol >= 0.0 and lookahead >= 0):
-        raise DomainError(f"tol and lookahead must be at least 0, got {tol} and {lookahead}")
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    known = {}
-    while _open(a, b, c, d, tol):
-        while c not in known or d not in known:
-            points = _upcoming_points(a, b, c, d, known, tol, lookahead + 1)
-            known.update(zip(points, f(np.array(points))))
-        a, b, c, d = _narrow(a, b, c, d, known[c] >= known[d])
-    return 0.5 * (a + b)
-
-
-def search_lookahead(n: int, block_bytes: int) -> int:
-    """The deepest golden_section_max lookahead whose calls fit an (n, points) float64 block of block_bytes.
-
-    A call holds at most 2^(lookahead + 1) - 1 points; the lookahead is 0
-    when fewer than 3 points fit.
-    """
-    width = max(1, block_bytes // (8 * n))
-    return (width + 1).bit_length() - 2
-
-
-def _narrow(a, b, c, d, left: bool) -> tuple:
-    """One golden-section step: the bracket [a, d] when left, else [c, b], with its new inner points."""
-    if left:
-        return a, d, d - _INVPHI * (d - a), c
-    return c, b, d, c + _INVPHI * (b - c)
-
-
-def _open(a, b, c, d, tol: float) -> bool:
-    """Whether golden_section_max compares on (a, b, c, d): b - a > tol, c and d strictly inside."""
-    return b - a > tol and a < c and d < b
-
-
-def _upcoming_points(a, b, c, d, known: dict, tol: float, levels: int) -> list:
-    """The points golden_section_max may evaluate in its next `levels` evaluations from the bracket (a, b, c, d).
-
-    First the inner points without a known value, c before d; each later
-    level holds the new point of each side of every comparison still open,
-    where the narrowed bracket is still open (else the search stops there
-    and never compares it).
-    """
-    points = [x for x in (c, d) if x not in known][:levels]
-    brackets = [(a, b, c, d)]
-    for _ in range(levels - len(points)):
-        # A left step makes a new c (index 2), a right step a new d (index 3).
-        steps = [(_narrow(*q, left), 2 if left else 3) for q in brackets for left in (True, False)]
-        steps = [(q, new) for q, new in steps if _open(*q, tol)]
-        brackets = [q for q, _ in steps]
-        points += [q[new] for q, new in steps]
-    return points
+    if not -np.inf < a <= b < np.inf:
+        raise DomainError(f"bracket [{lo}, {hi}] must be finite with lo <= hi")
+    if a == b:
+        return a
+    fa, fb = (float(v) for v in f(np.array([a, b])))
+    if not (fa > 0.0 and fb < 0.0):
+        return b if fa > 0.0 else a
+    halved, stalled, kept = b - a, 0, None
+    while True:
+        x = a + (b - a) * (fa / (fa - fb)) if stalled < 3 else a + 0.5 * (b - a)
+        x = float(min(max(x, np.nextafter(a, b)), np.nextafter(b, a)))
+        if not a < x < b:
+            return a if abs(fa) <= abs(fb) else b
+        fx = float(f(np.array([x]))[0])
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            a, fa, fb, kept = x, fx, fb * (0.5 if kept == "b" else 1.0), "b"
+        else:
+            b, fb, fa, kept = x, fx, fa * (0.5 if kept == "a" else 1.0), "a"
+        stalled += 1
+        if b - a <= 0.5 * halved:
+            halved, stalled = b - a, 0
 
 
 def optimal_access_probability(g: Graph) -> float:
     """Uniform access probability maximizing the expected throughput.
 
-    The maximizer lies in [1/(1 + d_max), 1/(1 + d_min)]: every summand of
-    the throughput increases below the lower end and decreases above the
-    upper end. Uniform-degree graphs collapse the bracket to exactly
-    1/(1 + d); otherwise golden-section search resolves the maximum to
-    better than 1e-6, the same float however the nodes are numbered.
+    The root of throughput_derivative, p = 1/(1 + sum_i w_i d_i) for w_i
+    proportional to S_i d_i, S_i = p (1-p)^{d_i}, found by sign_change in
+    [1/(1 + d_max), 1/(1 + d_min)] on the degree histogram, bound once: the
+    same float however the nodes are numbered, and 1/(1 + d) if all degrees are d.
     """
-    lo, hi = 1.0 / (1.0 + g.degrees.max()), 1.0 / (1.0 + g.degrees.min())
-    if lo == hi:
-        return lo
-    # The throughput sums over distinct degrees, so a round of up to 7 points costs about one point's call.
-    return golden_section_max(lambda ps: expected_throughput(g, ps), lo, hi, tol=1e-9, lookahead=2)
+    return sign_change(_throughput_slope(g), 1.0 / (1.0 + g.degrees.max()), 1.0 / (1.0 + g.degrees.min()))
 
 
 def brute_force_expected_throughput(g: Graph, policy: AccessPolicy) -> float:

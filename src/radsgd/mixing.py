@@ -27,7 +27,7 @@ from .errors import DimensionError, DomainError
 
 # perfbench wraps radsgd.mixing.success_probability_matrix and
 # radsgd.mixing.spectral_radius by these names; keep both resolvable here.
-from .mac import AccessPolicy, golden_section_max, over_probabilities, search_lookahead, success_probability_matrix
+from .mac import AccessPolicy, over_probabilities, sign_change, success_probability_matrix
 from .topology import Graph, check_fits
 
 # Bound on the working arrays of one consensus_rate call: each (n, block)
@@ -170,12 +170,12 @@ def consensus_rate(g: Graph, epsilon: float, p):
     DomainError if any p is NaN or outside [0, 1], and GraphError when the
     n x n arrays that building L^+ holds (RATE_SOLVER_MATRICES) do not fit.
     """
-    return over_probabilities(p, lambda ps: _rate_solver(g, epsilon)(ps))
+    return over_probabilities(p, lambda ps: _rate_solver(g, epsilon)[0](ps))
 
 
 @functools.lru_cache(maxsize=1)
 def _rate_solver(g: Graph, epsilon: float):
-    """consensus_rate on g at eps as a function of a 1-D array of p in [0, 1], with L^+ built once.
+    """(rates, eigen) for g at eps, L^+ built once: consensus_rate on a 1-D array of p in [0, 1], and lambda_2(H) on p in (0, 1).
 
     The last solver is kept (a Graph hashes by identity), so an analyze
     command's scan and refinement share one inverse; a new graph or eps
@@ -226,7 +226,7 @@ def _rate_solver(g: Graph, epsilon: float):
     n = g.n
     check_fits(RATE_SOLVER_MATRICES * 8 * n ** 2, f"the consensus rate of a {n}-node graph")
     if n == 1:
-        return lambda ps: np.zeros(ps.shape)
+        return (lambda ps: np.zeros(ps.shape)), None
     lp = np.linalg.inv(g.laplacian + 1.0 / n)
     lp -= 1.0 / n
     lp += lp.T
@@ -234,25 +234,38 @@ def _rate_solver(g: Graph, epsilon: float):
     degrees = g.degrees.astype(float)[:, None]
     start = np.random.default_rng(0).standard_normal(n)
 
+    def eigen(ps: np.ndarray, vectors: bool = False, near: np.ndarray | None = None):
+        """lambda_2(H) at each p in (0, 1) of ps, by one Lanczos run; with vectors, also its unit eigenvectors, y = w / sqrt(m), the run started at near."""
+        log_mass = -(np.log(ps) + degrees * np.log1p(-ps))
+        centre = np.partition(log_mass, n - 2, axis=0)[n - 2]
+        mass = np.exp(np.clip(log_mass - centre, -MASS_CAP, MASS_CAP))
+        if vectors:
+            theta, w = _top_ritz_values(lp, mass, start if near is None else near, vectors=True)
+            return np.exp(-centre) / theta, w / np.sqrt(mass)
+        return np.exp(-centre) / _top_ritz_values(lp, mass, start)
+
     def rates(ps: np.ndarray) -> np.ndarray:
         out = np.ones(ps.shape)
         block = max(1, LANCZOS_BLOCK_BYTES // (8 * n))
         inner = np.flatnonzero((ps > 0.0) & (ps < 1.0))
         for first in range(0, len(inner), block):
             at = inner[first:first + block]
-            log_mass = -(np.log(ps[at]) + degrees * np.log1p(-ps[at]))
-            centre = np.partition(log_mass, n - 2, axis=0)[n - 2]
-            mass = np.exp(np.clip(log_mass - centre, -MASS_CAP, MASS_CAP))
-            out[at] = 1.0 - epsilon * (np.exp(-centre) / _top_ritz_values(lp, mass, start))
+            out[at] = 1.0 - epsilon * eigen(ps[at])
         return out
 
-    return rates
+    return rates, eigen
 
 
-def _top_ritz_values(lp: np.ndarray, mass: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _top_ritz_values(lp: np.ndarray, mass: np.ndarray, start: np.ndarray, vectors: bool = False) -> np.ndarray:
     """Top eigenvalue of x -> m (lp x - mean_m(lp x)) on sum(x) = 0 for each column m of mass, by Lanczos.
 
     The operator is self-adjoint in <x, y> = sum(x y / m) (see _rate_solver).
+    With vectors (the scan asks for none), also the top Ritz vectors w, unit
+    in <., .>, from the kept (n - 1, n, width) basis, each new vector
+    orthogonalised against it so that a start near an eigenvector loses no
+    orthogonality. A column then stops on |A w - theta w| = beta_k |s_k| <=
+    RITZ_RTOL * theta (s: T_k's top eigenvector), not on theta's movement:
+    w lies within RITZ_RTOL / (1 - lambda_2 / lambda_3) of the eigenvector.
     """
     n, width = mass.shape
     cols = np.arange(width)
@@ -276,6 +289,7 @@ def _top_ritz_values(lp: np.ndarray, mass: np.ndarray, start: np.ndarray) -> np.
     last = np.full(width, np.inf)
     theta = np.zeros(width)
     live = np.arange(width)
+    basis, ritz = (np.zeros((n - 1, n, width)), np.zeros((n, width))) if vectors else (None, None)
     for k in range(n - 1):
         z = lp @ x
         z -= np.einsum("ij,ij->j", weights, z)
@@ -285,6 +299,10 @@ def _top_ritz_values(lp: np.ndarray, mass: np.ndarray, start: np.ndarray) -> np.
         if k:
             v -= beta[live, k - 1] * x_prev
         to_zero_sum(v)
+        if vectors:
+            basis[k][:, live] = x
+            kept = basis[:k + 1][:, :, live]
+            v -= np.einsum("knc,kc->nc", kept, np.einsum("knc,nc->kc", kept, v * inverse))
         b = np.sqrt(np.einsum("ij,ij->j", v * inverse, v))
         alpha[live, k] = a
         beta[live, k] = b
@@ -294,9 +312,15 @@ def _top_ritz_values(lp: np.ndarray, mass: np.ndarray, start: np.ndarray) -> np.
         check = steps % RITZ_EVERY == 0
         rows = np.arange(len(live)) if check else np.flatnonzero(stop)
         if len(rows):
-            top = _top_tridiagonal_eigenvalues(alpha[live[rows], :steps], beta[live[rows], :steps - 1])
+            if vectors:
+                top, s = _top_tridiagonal_eigenvalues(alpha[live[rows], :steps], beta[live[rows], :steps - 1], True)
+                stop[rows] |= b[rows] * np.abs(s[:, -1]) <= RITZ_RTOL * top
+                done = rows[stop[rows]]
+                ritz[:, live[done]] = np.einsum("ck,knc->nc", s[stop[rows]], basis[:steps][:, :, live[done]])
+            else:
+                top = _top_tridiagonal_eigenvalues(alpha[live[rows], :steps], beta[live[rows], :steps - 1])
             theta[live[rows]] = top
-            if check:
+            if check and not vectors:
                 stop |= (steps >= 2 * RITZ_EVERY) & (np.abs(top - last[live]) <= RITZ_RTOL * top)
                 last[live] = top
             if stop.all():
@@ -308,24 +332,27 @@ def _top_ritz_values(lp: np.ndarray, mass: np.ndarray, start: np.ndarray) -> np.
                 cols = np.arange(len(live))
                 x, v, b = x[:, keep], v[:, keep], b[keep]
         x_prev, x = x, v / b
-    return theta
+    return (theta, ritz) if vectors else theta
 
 
-def _top_tridiagonal_eigenvalues(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def _top_tridiagonal_eigenvalues(alpha: np.ndarray, beta: np.ndarray, vectors: bool = False):
     """Top eigenvalue of each symmetric tridiagonal matrix (rows of alpha on the diagonal, of beta beside it).
 
-    The matrices go to eigvalsh in stacks of at most LANCZOS_BLOCK_BYTES.
+    They go to eigvalsh, or with vectors to eigh for their top unit eigenvectors too, in stacks of at most LANCZOS_BLOCK_BYTES.
     """
     count, m = alpha.shape
     chunk = max(1, LANCZOS_BLOCK_BYTES // (8 * m * m))
     diagonal = np.arange(m)
-    top = np.empty(count)
+    top, pairs = np.empty(count), (np.empty((count, m)) if vectors else None)
     for first in range(0, count, chunk):
         t = np.zeros((len(alpha[first:first + chunk]), m, m))
         t[:, diagonal, diagonal] = alpha[first:first + chunk]
         t[:, diagonal[1:], diagonal[:-1]] = beta[first:first + chunk]
-        top[first:first + chunk] = np.linalg.eigvalsh(t)[:, -1]
-    return top
+        values, pair = np.linalg.eigh(t) if vectors else (np.linalg.eigvalsh(t), None)
+        top[first:first + chunk] = values[:, -1]
+        if vectors:
+            pairs[first:first + chunk] = pair[:, :, -1]
+    return (top, pairs) if vectors else top
 
 
 def consensus_rate_scan(g: Graph, epsilon: float, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -346,33 +373,44 @@ def consensus_rate_scan(g: Graph, epsilon: float, grid_step: float) -> tuple[np.
 
 
 def refine_spectral_minimum(g: Graph, epsilon: float, ps: np.ndarray, rates: np.ndarray) -> float:
-    """Golden-section refinement around the best point of a precomputed scan, on the scan's L^+.
+    """The consensus rate's stationary point next to the best point of a precomputed scan, on the scan's L^+.
 
-    The search solves its points a round at a time: each round is one
-    consensus_rate solve of every point its next few steps could need. A
-    round of depth k holds 2^k - 1 points, and k is the largest depth whose
-    (n, points) Lanczos block fits in LANCZOS_BLOCK_BYTES // 4: 3 at
-    n = 100, 2 at n = 200, and one point per round from n = 342 up. The
-    comparisons, and so the optimum, are those of a point-by-point search,
-    except where a rate that moves by half an ulp with the block it is
-    solved in flips a tie (a star, whose rate is symmetric about 1/2); the
-    optimum then moves by at most the search's tolerance.
+    dH/dp = (D H + H D) / 2 for D = diag(1/p - d_i / (1 - p)), so by
+    Hellmann-Feynman a simple lambda_2 with unit eigenvector y has
+    d lambda_2 / dp of the sign of 1 - p (1 + sum_i y_i^2 d_i): the rate is
+    stationary at p = 1/(1 + the mean degree weighted by y_i^2), inside
+    [1/(1 + d_max), 1/(1 + d_min)]. sign_change finds that root in the
+    scan's cell around its best point, clipped to that bracket: the ends in
+    one 2-column solve, then a point per solve, its Lanczos run started at
+    the eigenvectors solved nearest on either side. Where lambda_2 and
+    lambda_3 cross the condition jumps, the rate is least, and such a run
+    keeps to its branch, so the last bracket is solved again from the cold
+    start, and a search from cold starts follows unless lambda_2 agrees.
+    With y within an angle delta (_top_ritz_values), the condition at the
+    returned p is within about 2 p d_max delta of 0.
     """
     k = int(np.argmin(rates))
-    lo, hi = float(ps[max(k - 1, 0)]), float(ps[min(k + 1, len(ps) - 1)])
-    if lo == hi:
-        return lo
-    solve = _rate_solver(g, epsilon)
-    lookahead = search_lookahead(g.n, LANCZOS_BLOCK_BYTES // 4)
-    return golden_section_max(lambda p: -solve(p), lo, hi, tol=1e-5, lookahead=lookahead)
+    cell = np.clip(ps[[max(k - 1, 0), min(k + 1, len(ps) - 1)]], 1.0 / (1 + g.degrees.max()), 1.0 / (1 + g.degrees.min()))
+    eigen, seen = _rate_solver(g, epsilon)[1], {}
+
+    def stationarity(p: np.ndarray, warm: bool = True) -> np.ndarray:
+        near = None
+        if warm and seen:  # the nearer side weighs more
+            a, b = max(q for q in seen if q < p[0]), min(q for q in seen if q > p[0])
+            near = (b - p[0]) * seen[a][1] + (p[0] - a) * np.copysign(1.0, seen[a][1] @ seen[b][1]) * seen[b][1]
+        lam, y = eigen(p, vectors=True, near=near)
+        seen.update(zip(p.tolist(), zip(lam, y.T)))
+        return 1.0 - p * (1.0 + g.degrees @ y ** 2 / np.sum(y ** 2, axis=0))
+
+    p = sign_change(stationarity, *cell)
+    last = [q for q in seen if abs(q - p) <= np.spacing(p)]
+    lam = np.array([seen[q][0] for q in last])
+    if last and np.any(np.abs(eigen(np.array(last)) - lam) > 10 * RITZ_RTOL * lam):
+        p = sign_change(lambda q: stationarity(q, warm=False), *cell)
+    return p
 
 
 def spectral_optimal_probability(g: Graph, epsilon: float, grid_step: float = 0.001) -> float:
-    """Uniform access probability minimizing the consensus rate.
-
-    Coarse grid scan over [0, 1] followed by golden-section refinement
-    around the best grid point; the scan guards against eigenvalue-crossing
-    kinks that could trap a purely local method.
-    """
+    """Uniform access probability minimizing the consensus rate: a grid scan, which guards against a local minimum that is not the least, then refine_spectral_minimum."""
     ps, rates = consensus_rate_scan(g, epsilon, grid_step)
     return refine_spectral_minimum(g, epsilon, ps, rates)

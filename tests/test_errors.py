@@ -12,7 +12,7 @@ from radsgd.learning import (
     regression_task,
     train,
 )
-from radsgd.mac import AccessPolicy, expected_throughput, golden_section_max
+from radsgd.mac import AccessPolicy, expected_throughput, sign_change
 from radsgd.mixing import consensus_rate, consensus_rate_scan, spectral_optimal_probability
 from radsgd.topology import complete, erdos_renyi, from_edge_list, ring
 
@@ -44,12 +44,11 @@ CASES = {
     "rate_p_array_negative": (DomainError, lambda: consensus_rate(ring(4), 0.25, np.array([[0.2], [-0.1]]))),
     "throughput_p_array_nan": (DomainError, lambda: expected_throughput(ring(4), np.array([0.2, np.nan]))),
     "throughput_p_array_above_one": (DomainError, lambda: expected_throughput(ring(4), np.array([[0.2], [1.5]]))),
-    "search_negative_lookahead": (DomainError, lambda: golden_section_max(lambda x: -x, 0.0, 1.0, lookahead=-1)),
-    "search_tol_nan": (DomainError, lambda: golden_section_max(lambda x: -x, 0.0, 1.0, tol=np.nan)),
-    "search_tol_negative": (DomainError, lambda: golden_section_max(lambda x: -x, 0.0, 1.0, tol=-1.0)),
-    "search_hi_inf": (DomainError, lambda: golden_section_max(lambda x: -x, 0.0, np.inf)),
-    "search_lo_negative_inf": (DomainError, lambda: golden_section_max(lambda x: -x, -np.inf, 1.0)),
-    "search_lo_nan": (DomainError, lambda: golden_section_max(lambda x: -x, np.nan, 1.0)),
+    "search_hi_inf": (DomainError, lambda: sign_change(lambda x: -x, 0.0, np.inf)),
+    "search_lo_negative_inf": (DomainError, lambda: sign_change(lambda x: -x, -np.inf, 1.0)),
+    "search_lo_nan": (DomainError, lambda: sign_change(lambda x: -x, np.nan, 1.0)),
+    "search_hi_nan": (DomainError, lambda: sign_change(lambda x: -x, 0.0, np.nan)),
+    "search_lo_above_hi": (DomainError, lambda: sign_change(lambda x: -x, 1.0, 0.0)),
     "dataset_nan_feature": (DomainError, lambda: LocalDataset(np.full((2, 1), np.nan), np.zeros(2))),
     "dataset_inf_label": (DomainError, lambda: LocalDataset(np.zeros((2, 1)), np.array([0.0, np.inf]))),
     "regression_samples_bytes": (DimensionError, lambda: generate_regression_data(4, 3 * 10 ** 18, 0)),

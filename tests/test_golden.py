@@ -25,7 +25,13 @@ optimum by 1.15e-8 relative, past RTOL, because golden-section search at
 tol 1e-9 cannot place the maximizer of a curve this flat at its top finer
 than a few 1e-9 (both values lie within 5e-9 of the root of the
 derivative). Their consensus_rate columns then took the current solver's
-values, within 5.7e-15 of the eigensolver-era ones. Rerecord
+values, within 5.7e-15 of the eigensolver-era ones. Both optima of
+analyze_er and analyze_ring were recorded again, alone, when each became
+the root of its stationarity condition, found to adjacent floats in place
+of a golden-section maximum: each moved onto its dense reference (a
+long-double bisection for the throughput optimum, a dense-eigh one for the
+spectral optimum) or within an ulp of it, and the analyze.csv files kept
+their bytes. Rerecord
 the entries whose outputs a change is meant to move, and only those, with
 
     PYTHONPATH=src python tests/test_golden.py NAME...

@@ -14,12 +14,11 @@ from radsgd.mac import (
     AccessPolicy,
     brute_force_expected_throughput,
     expected_throughput,
-    golden_section_max,
     link_decoder,
     link_success_prob,
     optimal_access_probability,
     sample_broadcast,
-    search_lookahead,
+    sign_change,
     success_probability_matrix,
     throughput_derivative,
     transmission_matrix,
@@ -229,40 +228,6 @@ def test_optimal_access_probability_stays_in_bracket():
     assert expected_throughput(g, p_star) >= best_grid - 1e-9
 
 
-def test_golden_section_max_quadratic():
-    assert golden_section_max(lambda x: -(x - 0.7) ** 2, 0.0, 1.0, tol=1e-10) == pytest.approx(
-        0.7, abs=1e-8
-    )
-
-
-def test_golden_section_rejects_empty_bracket():
-    with pytest.raises(DomainError):
-        golden_section_max(lambda x: x, 1.0, 1.0)
-
-
-def _sequential_golden_section_max(f, lo, hi, tol):
-    """The point-by-point search golden_section_max replays: f takes one point.
-
-    Returns the maximizer and the number of loop iterations.
-    """
-    a, b = float(lo), float(hi)
-    c = b - mac._INVPHI * (b - a)
-    d = a + mac._INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while b - a > tol:
-        iterations += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - mac._INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + mac._INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b), iterations
-
-
 def _counting(f, calls):
     def counted(points):
         calls.append(len(points))
@@ -271,78 +236,61 @@ def _counting(f, calls):
     return counted
 
 
-SEARCH_CASES = {
-    "quadratic": (lambda x: -(x - 0.7) ** 2, 0.0, 1.0, 1e-10),
-    "kink": (lambda x: -np.abs(x - 0.3141), 0.0, 1.0, 1e-9),
-    "kink_at_an_end": (lambda x: -np.abs(x - 2.0), -1.0, 2.0, 1e-7),
-    # On a bracket symmetric about 0.5 the first comparison is an exact tie.
-    "first_comparison_ties": (lambda x: -(x - 0.5) ** 2, 0.0, 1.0, 1e-9),
-    "plateaus_tie_everywhere": (lambda x: np.floor(4.0 * x), 0.0, 1.0, 1e-6),
+ROOT_CASES = {
+    # The derivative of -(x - 0.7)^2: regula falsi lands on 0.7.
+    "quadratic": (lambda x: -2.0 * (x - 0.7), 0.7),
+    "cosine": (lambda x: np.cos(x) - x, 0.7390851332151607),
+    "steep_exponential": (lambda x: np.exp(-40.0 * x) - 0.5, math.log(2.0) / 40.0),
 }
 
 
-@pytest.mark.parametrize("lookahead", range(5))
-@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
-def test_batched_search_equals_the_sequential_loop(name, lookahead):
-    f, lo, hi, tol = SEARCH_CASES[name]
-    expected, _ = _sequential_golden_section_max(lambda x: float(f(np.array([x]))[0]), lo, hi, tol)
+@pytest.mark.parametrize("name", sorted(ROOT_CASES))
+def test_sign_change_finds_the_root_to_adjacent_floats(name):
+    f, root = ROOT_CASES[name]
     calls = []
-    assert golden_section_max(_counting(f, calls), lo, hi, tol, lookahead=lookahead) == expected
-    assert max(calls) <= 2 ** (lookahead + 1) - 1
-    if lookahead == 0:
-        assert set(calls) == {1}
+    p = sign_change(_counting(f, calls), 0.0, 1.0)
+    assert abs(p - root) <= np.spacing(root)
+    # The ends go in one call, then one point per call.
+    assert calls[0] == 2 and set(calls[1:]) <= {1}
 
 
-def test_search_evaluates_no_point_past_the_tolerance():
-    # From [0, 1] with tol 0.5 the search compares twice and stops at a
-    # bracket of width 0.38: it needs c, d and one new point of the first
-    # step, which may fall on either side.
+def test_sign_change_returns_an_end_where_the_sign_does_not_change():
     calls = []
-    golden_section_max(_counting(lambda x: -(x - 0.7) ** 2, calls), 0.0, 1.0, tol=0.5, lookahead=4)
-    assert calls == [4]
+    assert sign_change(_counting(lambda x: x - 5.0, calls), 0.0, 1.0) == 0.0
+    assert sign_change(_counting(lambda x: 5.0 - x, calls), 0.0, 1.0) == 1.0
+    assert sign_change(_counting(lambda x: x, calls), 0.0, 1.0) == 0.0
+    assert sign_change(_counting(lambda x: 1.0 - x, calls), 0.0, 1.0) == 1.0
+    assert calls == [2, 2, 2, 2]
+    assert sign_change(_counting(lambda x: x, calls), 0.25, 0.25) == 0.25 and calls == [2, 2, 2, 2]
 
 
-@pytest.mark.parametrize("lookahead", [0, 2])
-@pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-300])
-def test_search_below_float_resolution_stops(tol, lookahead):
-    # No bracket around 0.3 gets narrower than 1e-17; rounding stops the
-    # search once an inner point lands on an end. A search that never stops
-    # fails instead of hanging the suite: f raises after 500 calls, and an
-    # alarm after 10 s catches a loop that spins on values it already has.
+@pytest.mark.parametrize("above, below", [(1.0, -1.0), (1e300, -1e-300), (1e-300, -1e300)])
+def test_sign_change_stops_on_a_jump(above, below):
+    # A jump at 0.3 is a sign change with no root. Each halving of the
+    # bracket costs at most four calls and spacing(0.3) = 2^-54, so from
+    # [0, 1] the search stops within 1 + 4 * 54 calls, at the float below
+    # 0.3 or at 0.3. A search that never stops fails instead of hanging the
+    # suite: f raises past that budget, and an alarm after 10 s catches a
+    # loop that spins without calling f.
     calls = []
 
     def f(points):
         calls.append(len(points))
-        if len(calls) > 500:
-            raise RuntimeError("golden_section_max did not stop")
-        return -(points - 0.3) ** 2
+        if len(calls) > 1 + 4 * 54:
+            raise RuntimeError("sign_change did not stop")
+        return np.where(points < 0.3, above, below)
 
     def stuck(signum, frame):
-        raise RuntimeError("golden_section_max did not stop within 10 s")
+        raise RuntimeError("sign_change did not stop within 10 s")
 
     previous = signal.signal(signal.SIGALRM, stuck)
     signal.alarm(10)
     try:
-        p = golden_section_max(f, 0.0, 1.0, tol=tol, lookahead=lookahead)
+        p = sign_change(f, 0.0, 1.0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert abs(p - 0.3) <= 4 * np.spacing(0.3)
-
-
-def test_first_comparison_of_the_tie_case_is_a_tie():
-    f, lo, hi, _ = SEARCH_CASES["first_comparison_ties"]
-    c = hi - mac._INVPHI * (hi - lo)
-    d = lo + mac._INVPHI * (hi - lo)
-    assert f(c) == f(d)
-
-
-def test_search_lookahead_fits_a_round_in_the_block():
-    block = mixing.LANCZOS_BLOCK_BYTES // 4
-    assert [search_lookahead(n, block) for n in (100, 200, 341, 342, 400, 1000, 10 ** 6)] == [2, 1, 1, 0, 0, 0, 0]
-    for n in (1, 7, 20, 100, 300):
-        lookahead = search_lookahead(n, block)
-        assert 2 ** (lookahead + 1) - 1 <= max(1, block // (8 * n)) < 2 ** (lookahead + 2) - 1
+    assert np.nextafter(0.3, 0.0) <= p <= 0.3
 
 
 def _star(n):
@@ -359,6 +307,12 @@ REFINE_GRAPHS = {
     **{f"er{n}_seed{seed}": (n, seed) for n in (20, 100, 400) for seed in (0, 3, 7)},
     "ring20": ring(20),
     "lollipop": _lollipop(10, 10),
+    # Swapping nodes 0 <-> 1, 2 <-> 4 and 5 <-> 6 maps the graph onto itself,
+    # so each eigenvector of H is even or odd under the swap. An even and an
+    # odd lambda_2 cross at p = 0.2822665424..., where the rate is least: a
+    # Lanczos run started at one side's eigenvector stays on its branch past
+    # the crossing.
+    "crossing7": from_edge_list("n 7\n0 1\n0 2\n0 3\n0 5\n1 3\n1 4\n1 6\n2 4\n2 6\n4 5\n"),
 }
 
 
@@ -370,54 +324,128 @@ def _refine_graph(name):
     return g
 
 
+def _degree_bracket(g):
+    return 1.0 / (1.0 + g.degrees.max()), 1.0 / (1.0 + g.degrees.min())
+
+
+def _scan_cell(g, ps, rates):
+    """The scan's cell around its best point, clipped to the degree bracket, as the refinement searches it."""
+    k = int(np.argmin(rates))
+    return np.clip([ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)]], *_degree_bracket(g))
+
+
+def _dense_condition(g, p):
+    """1 - p (1 + sum_i y_i^2 d_i) for lambda_2(H)'s eigenvector y from dense eigh, and H's eigenvalues."""
+    root_s = np.sqrt(p * (1.0 - p) ** g.degrees.astype(float))
+    values, vectors = np.linalg.eigh(root_s[:, None] * g.laplacian * root_s[None, :])
+    y2 = vectors[:, 1] ** 2
+    return 1.0 - p * (1.0 + y2 @ g.degrees / y2.sum()), values
+
+
+def _long_double_slope(g, p):
+    """throughput_derivative in long double, summed node by node."""
+    d = g.degrees.astype(np.longdouble)
+    q = np.longdouble(p)
+    return np.sum(d * (1 - q) ** (d - 1) * (1 - q * (1 + d)))
+
+
+def _bisect(f, a, b):
+    """Where f turns from positive to negative in [a, b], by plain bisection down to adjacent floats."""
+    while a < a + 0.5 * (b - a) < b:
+        m = a + 0.5 * (b - a)
+        a, b = (m, b) if f(m) > 0 else (a, m)
+    return a
+
+
 @pytest.mark.parametrize("name", sorted(REFINE_GRAPHS))
-def test_spectral_refinement_equals_the_sequential_search(name):
+def test_both_optima_match_a_dense_bisection(name):
+    # Each reference condition changes sign within the tolerance of the optimum,
+    # so a bisection of it there would land within the tolerance too.
     g = _refine_graph(name)
     eps = mixing.default_epsilon(g)
     ps, rates = mixing.consensus_rate_scan(g, eps, 0.01)
-    k = int(np.argmin(rates))
-    lo, hi = float(ps[max(k - 1, 0)]), float(ps[min(k + 1, len(ps) - 1)])
-    solve = mixing._rate_solver(g, eps)
-    expected, _ = _sequential_golden_section_max(lambda p: -float(solve(np.array([p]))[0]), lo, hi, 1e-5)
-    assert mixing.refine_spectral_minimum(g, eps, ps, rates) == expected
-    for lookahead in range(5):
-        assert golden_section_max(lambda p: -solve(p), lo, hi, 1e-5, lookahead=lookahead) == expected
+    p_spec = mixing.refine_spectral_minimum(g, eps, ps, rates)
+    if g.degrees.min() < g.degrees.max():
+        assert _dense_condition(g, p_spec - 1e-12)[0] > 0 > _dense_condition(g, p_spec + 1e-12)[0]
+        p_thr = optimal_access_probability(g)
+        assert _long_double_slope(g, p_thr - 1e-15) > 0 > _long_double_slope(g, p_thr + 1e-15)
+    else:
+        assert p_spec == 1.0 / (1.0 + g.degrees[0])
 
 
-def test_star_refinement_settles_within_tol_of_one_half():
-    # A star's rate 1 - eps p (1 - p) is symmetric about 1/2, so on the bracket
-    # [0.49, 0.51] every comparison is a tie in exact arithmetic and rounding
-    # decides it. A point's Lanczos rate can move by half an ulp with the block
-    # it is solved in, so a batched search may settle on the other side of 1/2
-    # than the point-by-point one; one point per call replays it exactly.
-    g = _star(12)
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on up to 12 nodes plus random extra edges."""
+    n = draw(st.integers(2, 12))
+    pairs = [(k, draw(st.integers(0, k - 1))) for k in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    return Graph(n, np.array(pairs + [(i, j) for i, j in extra if i != j]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(g=connected_graphs())
+def test_both_optima_are_roots_of_their_conditions(g):
+    lo, hi = _degree_bracket(g)
     eps = mixing.default_epsilon(g)
     ps, rates = mixing.consensus_rate_scan(g, eps, 0.01)
-    solve = mixing._rate_solver(g, eps)
-    expected, _ = _sequential_golden_section_max(lambda p: -float(solve(np.array([p]))[0]), 0.49, 0.51, 1e-5)
-    assert golden_section_max(lambda p: -solve(p), 0.49, 0.51, 1e-5, lookahead=0) == expected
-    for p in (expected, mixing.refine_spectral_minimum(g, eps, ps, rates)):
-        assert abs(p - 0.5) <= 1e-5
+    p_spec = mixing.refine_spectral_minimum(g, eps, ps, rates)
+    p_thr = optimal_access_probability(g)
+    assert lo <= p_thr <= hi and lo <= p_spec <= hi
+    assert abs(p_thr - float(_bisect(lambda p: _long_double_slope(g, p), lo, hi))) <= 1e-12
+    assert abs(p_spec - _bisect(lambda p: _dense_condition(g, p)[0], *_scan_cell(g, ps, rates))) <= 1e-12
+    # refine_spectral_minimum's bound: 2 p d_max delta for the Ritz vector's
+    # angle delta of _top_ritz_values, plus the condition's step between the
+    # floats next to p_spec and its rounding.
+    condition, values = _dense_condition(g, p_spec)
+    if lo < hi and values[1] < values[2]:
+        delta = mixing.RITZ_RTOL / (1.0 - values[1] / values[2])
+        step = abs(_dense_condition(g, np.nextafter(p_spec, 0.0))[0] - _dense_condition(g, np.nextafter(p_spec, 1.0))[0])
+        assert abs(condition) <= 2.0 * p_spec * g.degrees.max() * delta + step + 1e-14
+    # The throughput has a single maximum: its derivative (throughput_derivative's
+    # formula, on the whole grid at once) changes sign once.
+    signs = np.sign(mac._throughput_slope(g)(np.linspace(lo, hi, 1001)))
+    assert np.count_nonzero(np.diff(signs[signs != 0])) <= 1
 
 
-def test_spectral_refinement_solves_a_round_per_call(monkeypatch):
+@pytest.mark.parametrize("g", [ring(6), ring(20), complete(2), complete(4), complete(10)], ids=lambda g: f"n{g.n}_d{g.degrees[0]}")
+def test_both_optima_are_one_over_one_plus_the_degree_on_regular_graphs(g):
+    want = 1.0 / (1.0 + g.degrees[0])
+    for p in (optimal_access_probability(g), mixing.spectral_optimal_probability(g, mixing.default_epsilon(g))):
+        assert abs(p - want) <= 4 * np.spacing(want)
+
+
+@pytest.mark.parametrize("grid_step", [0.01, 0.001])
+def test_star_refinement_lands_on_one_half(grid_step):
+    # A star's rate 1 - eps p (1 - p) is symmetric about 1/2, where the
+    # leaves' eigenvectors give 1 - p (1 + 1) = 0: the upper end of the
+    # degree bracket [1/12, 1/2].
+    g = _star(12)
+    assert abs(mixing.spectral_optimal_probability(g, mixing.default_epsilon(g), grid_step) - 0.5) <= 4 * np.spacing(0.5)
+
+
+def test_spectral_refinement_solves_both_ends_in_one_block(monkeypatch):
     g = erdos_renyi(100, 0.1, seed=0)
     eps = mixing.default_epsilon(g)
     ps, rates = mixing.consensus_rate_scan(g, eps, 0.004)
     bind = mixing._rate_solver
-    calls = []
-    monkeypatch.setattr(mixing, "_rate_solver", lambda *args: _counting(bind(*args), calls))
-    p = mixing.refine_spectral_minimum(g, eps, ps, rates)
-    k = int(np.argmin(rates))
-    solve = bind(g, eps)
-    one_at_a_time = []
-    expected, iterations = _sequential_golden_section_max(
-        lambda x: -float(_counting(solve, one_at_a_time)(np.array([x]))[0]), ps[k - 1], ps[k + 1], 1e-5
-    )
-    assert p == expected and len(one_at_a_time) == iterations + 2 == 16
-    depth = search_lookahead(g.n, mixing.LANCZOS_BLOCK_BYTES // 4) + 1
-    assert depth == 3 and max(calls) <= 2 ** depth - 1
-    assert len(calls) <= math.ceil(iterations / depth) + 1
+    widths = []
+
+    def counting(*args):
+        rates, eigen = bind(*args)
+
+        def counted(points, **keywords):
+            widths.append((len(points), keywords.get("vectors", False)))
+            return eigen(points, **keywords)
+
+        return rates, counted
+
+    want = mixing.refine_spectral_minimum(g, eps, ps, rates)
+    monkeypatch.setattr(mixing, "_rate_solver", counting)
+    assert mixing.refine_spectral_minimum(g, eps, ps, rates) == want
+    # The ends, then a point per solve, then the last bracket again from a
+    # cold start, without vectors.
+    assert widths[0] == (2, True) and set(widths[1:-1]) == {(1, True)}
+    assert widths[-1][0] <= 3 and not widths[-1][1]
 
 
 @pytest.mark.parametrize("n", [20, 100, 400, 1000])
