@@ -293,6 +293,40 @@ def test_sign_change_stops_on_a_jump(above, below):
     assert np.nextafter(0.3, 0.0) <= p <= 0.3
 
 
+@pytest.mark.parametrize("flat_ulps", [0, 2])
+@pytest.mark.parametrize("shift", [0.0, 1e-17, 1e-300])
+def test_search_below_float_resolution_stops(shift, flat_ulps):
+    # A slope whose root 0.3 - shift lies below float resolution from 0.3,
+    # and which is exactly 0 within flat_ulps floats of 0.3. 0.3 - x is
+    # exact near 0.3, so without a flat top f(0.3) is 0 or -shift e^6 and
+    # the search returns 0.3 itself: as an exact 0, or as the end of smaller
+    # |f| once the bracket is [0.3 - ulp, 0.3]. With one it stops on an
+    # exact 0 in the flat top. The factor e^(20 x) keeps regula falsi from
+    # landing on the root in one step (it takes 28 or 29 calls). Same guards as
+    # test_sign_change_stops_on_a_jump.
+    calls = []
+    flat = flat_ulps * np.spacing(0.3)
+
+    def f(points):
+        calls.append(len(points))
+        if len(calls) > 1 + 4 * 54:
+            raise RuntimeError("sign_change did not stop")
+        slope = ((0.3 - points) - shift) * np.exp(20.0 * points)
+        return np.where((flat_ulps > 0) & (np.abs(points - 0.3) <= flat), 0.0, slope)
+
+    def stuck(signum, frame):
+        raise RuntimeError("sign_change did not stop within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        p = sign_change(f, 0.0, 1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert abs(p - 0.3) <= flat
+
+
 def _star(n):
     return from_edge_list(f"n {n}\n" + "".join(f"0 {i}\n" for i in range(1, n)))
 
