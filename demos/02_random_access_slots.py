@@ -29,7 +29,7 @@ for slot in range(10):
     b = sample_broadcast(policy, rng)
     t = transmission_matrix(g, b)
     arrows = [f"{j}->{i}" for i in range(g.n) for j in range(g.n) if i != j and t[i, j]]
-    print(f"  slot {slot}: b={b.tolist()} {' '.join(arrows) if arrows else '(nothing delivered)'}")
+    print(f"  slot {slot}: b={b.astype(int).tolist()} {' '.join(arrows) if arrows else '(nothing delivered)'}")
 
 # Closed form for a single link: sender talks, receiver is silent, and
 # every other neighbor of the receiver is silent too.
@@ -40,8 +40,7 @@ print(f"by hand, p(1-p)^2 = {p * (1 - p) ** 2:.4f}  (receiver 4 has two neighbor
 # Empirical check over many slots: one draw of the whole block, the same
 # rows as that many one-slot draws, decoded by one bound decoder.
 slots = 50_000
-links = link_decoder(g)(sample_broadcast(policy, rng, slots))
-receivers, senders = (np.concatenate(side) for side in zip(*links))
+receivers, senders, _ = link_decoder(g)(sample_broadcast(policy, rng, slots))
 hits = np.count_nonzero((receivers == 4) & (senders == 0))
 print(f"empirical 0->4 frequency over {slots} slots: {hits / slots:.4f}")
 

@@ -40,15 +40,14 @@ DIVERGENCE_LIMIT = 1e9
 # many nodes share one (k, N_CLASSES, T) product. Chosen by timing at 20
 # nodes x 2000 test samples: 4 nodes a block beat 2 and 16, and tied 8.
 EVAL_BLOCK_BYTES = 1 << 18
-# Bound on what train holds for a block of slots drawn ahead of their steps:
-# what its decode call holds, and each slot's minibatch draw (see
-# _draw_batch). It sets how many slots share one decoder call. A decode call
-# (mac.link_decoder) holds whole words of mac.slots_per_word(g) slots, and
-# per word, measured with tracemalloc, the larger of its two stages plus 1 KiB:
-# the gather and segmented sum, 8 bytes per arc of the 2|E| + n and per
-# node; or the links it hands out, per slot 8 bytes per node for the
-# unpacked sums and 16 per decoded link (at most one per node), plus at
-# most 512 bytes of Python objects.
+# Bound on what train holds for a block of slots drawn ahead of their steps,
+# which sets how many slots share one decoder call: each slot's draws, its
+# bool broadcast row (1 byte per node) and minibatches (see _draw_batch),
+# and the decode call (mac.link_decoder). That holds whole words of
+# mac.slots_per_word(g) slots and per word, by tracemalloc, the larger of its
+# two stages plus 1.5 KiB of array objects: the gather and segmented sum, 8
+# bytes per arc of the 2|E| + n and per node; or the record, per slot 8 bytes
+# per node of unpacked sums, 16 per link (at most one per node), 16 for bounds.
 DECODE_BLOCK_BYTES = 1 << 18
 # Keys a run's minibatch stream off its seed, apart from its channel stream.
 BATCH_STREAM_TAG = 0xBA7C
@@ -405,12 +404,12 @@ def _block_length(g: Graph, draw_bytes: int) -> int:
     one word's draws alone break the bound does a block hold part of a
     word: as many slots as fit, at least one.
     """
-    per_word = slots_per_word(g)
-    word_bytes = max(8 * (g.arcs[0].size + 2 * g.n), per_word * (24 * g.n + 512)) + 1024
-    full_word = word_bytes + per_word * draw_bytes
+    per_word, slot_draws = slots_per_word(g), g.n + draw_bytes
+    word_bytes = max(8 * (g.arcs[0].size + 2 * g.n), per_word * (24 * g.n + 16)) + 1536
+    full_word = word_bytes + per_word * slot_draws
     if full_word <= DECODE_BLOCK_BYTES or not draw_bytes:
         return per_word * max(1, DECODE_BLOCK_BYTES // full_word)
-    return max(1, (DECODE_BLOCK_BYTES - word_bytes) // draw_bytes)
+    return max(1, (DECODE_BLOCK_BYTES - word_bytes) // slot_draws)
 
 
 def dsgd_step(
@@ -510,11 +509,11 @@ def train(
     child of seed keyed by BATCH_STREAM_TAG (built without spawn, which
     would count a child on a caller's SeedSequence). So the channel does
     not depend on the batch size, and the block length moves no draw.
-    Then one decoder call decodes the block's decisions, and each slot
-    takes its step, divergence check and checkpoint. A block holds whole
-    words of the decoder's packing (mac.slots_per_word), and its decode
-    call and minibatch draws hold at most DECODE_BLOCK_BYTES unless the
-    smallest block alone holds more (see _block_length).
+    Then one decoder call decodes the block into one flat record, and each
+    slot takes its step on its slice of the links, its divergence check
+    and checkpoint. A block holds whole words of the decoder's packing
+    (mac.slots_per_word), and its draws and decode call hold at most
+    DECODE_BLOCK_BYTES unless the smallest block alone holds more (see _block_length).
 
     epsilon None means 1/(d_max + 1); batch_size None, or one at least the
     local dataset size, means the full local dataset; checkpoint_every None
@@ -565,14 +564,15 @@ def train(
             decisions = sample_broadcast(policy, rng, slots)
             if minibatch:
                 features, labels = _draw_batch(data.features, data.labels, batch_size, batch_rng, slots)
-            for t, (receivers, senders) in enumerate(decode(decisions), start=first):
+            receivers, senders, bounds = decode(decisions)
+            for t, lo, hi in zip(range(first, first + slots), bounds.tolist(), bounds[1:].tolist()):
                 if minibatch:
                     gradient = task.gradient(features[t - first], labels[t - first])
                 # A slot that decodes no link mixes with the identity: the
                 # half-steps, a new array, are the new params as they are.
                 params = dsgd_step(
                     params, step_size,
-                    lambda z: mix_slot(z, receivers, senders, epsilon) if receivers.size else z, gradient,
+                    lambda z: mix_slot(z, receivers[lo:hi], senders[lo:hi], epsilon) if hi > lo else z, gradient,
                 )
                 # NaN fails the comparison, so one pass catches NaN and +-inf too.
                 if not (np.abs(params).max() <= DIVERGENCE_LIMIT):

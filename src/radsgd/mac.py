@@ -51,7 +51,7 @@ class AccessPolicy:
 
 
 def sample_broadcast(policy: AccessPolicy, rng: np.random.Generator, slots: int | None = None) -> np.ndarray:
-    """Independent Bernoulli broadcast decisions, int64 0/1.
+    """Independent Bernoulli broadcast decisions, bool, True for a broadcast.
 
     With slots None, one slot's (n,) vector; otherwise the (slots, n) rows
     of that many slots, one slot per row. The rows equal, bit for bit,
@@ -60,7 +60,7 @@ def sample_broadcast(policy: AccessPolicy, rng: np.random.Generator, slots: int 
     the calls would.
     """
     shape = policy.n if slots is None else (slots, policy.n)
-    return (rng.random(shape) < policy.probs).astype(np.int64)
+    return rng.random(shape) < policy.probs
 
 
 def slots_per_word(g: Graph) -> int:
@@ -73,12 +73,13 @@ def slots_per_word(g: Graph) -> int:
     return 64 // (2 * g.n * (int(g.degrees.max()) + 1)).bit_length()
 
 
-def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
+def link_decoder(g: Graph) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """decoding_links bound to g, for a block of broadcast vectors.
 
     The returned decode(b) maps a block b (slots, n) of vectors, one slot
-    per row, to the list of their (receivers, senders) pairs, row by row,
-    as decoding_links gives them for each row.
+    per row, to one flat record (receivers, senders, bounds): row s's
+    links, as decoding_links gives them, are entries bounds[s]:bounds[s + 1]
+    of the int64 receivers and senders, so np.diff(bounds) counts them.
 
     Node i's closed neighbourhood is laid out as one segment: an arc to
     each neighbour j, coded n + j, then an arc to itself, coded 2n. The
@@ -123,7 +124,7 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
     ones = np.left_shift(np.uint64(1), np.array(shifts, dtype=np.uint64))  # a broadcast in every slot
     field = (1 << width) - 1
 
-    def decode(b) -> list[Links]:
+    def decode(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         bits = np.asarray(b)
         if bits.ndim != 2 or bits.shape[1] != n:
             raise DimensionError(f"broadcast block shape {bits.shape} does not match n={n} as (slots, n)")
@@ -152,9 +153,8 @@ def link_decoder(g: Graph) -> Callable[[np.ndarray], list[Links]]:
         senders = value[flat].view(np.int64)
         # flat holds the positions slot * n + receiver, ascending; the
         # receivers overwrite them once the slots' bounds are found.
-        bounds = np.searchsorted(flat, np.arange(0, bits.size + 1, n)).tolist()
-        receivers = np.remainder(flat, n, out=flat)
-        return [(receivers[lo:hi], senders[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        bounds = np.searchsorted(flat, np.arange(0, bits.size + 1, n))
+        return np.remainder(flat, n, out=flat), senders, bounds
 
     return decode
 
@@ -173,7 +173,7 @@ def decoding_links(g: Graph, b) -> Links:
     bits = np.asarray(b)
     if bits.ndim != 1 or bits.shape[0] != g.n:
         raise DimensionError(f"broadcast vector shape {bits.shape} does not match n={g.n}")
-    return link_decoder(g)(bits[np.newaxis])[0]
+    return link_decoder(g)(bits[np.newaxis])[:2]
 
 
 def transmission_matrix(g: Graph, b) -> np.ndarray:

@@ -151,8 +151,7 @@ def test_c05_link_success_monte_carlo():
         # that many one-slot calls, and one decoder call decodes them;
         # each decoded link counts once.
         for _ in range(slots // chunk):
-            links = decode(sample_broadcast(policy, rng, chunk))
-            receivers, senders = (np.concatenate(side) for side in zip(*links))
+            receivers, senders, _ = decode(sample_broadcast(policy, rng, chunk))
             counts += np.bincount(receivers * 20 + senders, minlength=400).reshape(20, 20)
         freq = counts / slots
         for i in range(20):

@@ -25,6 +25,8 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+    # numpy scalar and bool reprs, such as np.int64(2) or True, are not output.
+    assert not re.search(r"\b(np\.|True\b|False\b)", proc.stdout), proc.stdout
 
 
 def test_readme_quick_start_runs(tmp_path):

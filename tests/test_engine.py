@@ -304,19 +304,29 @@ def test_decoding_links_follow_the_collision_rule(name):
     for b in vectors[2:12]:
         vectors.append(np.where(b != 0, rng.choice([2, -1, 1], size=g.n), 0))
         vectors.append(b != 0)
-    # The same vectors as one block, and each as a block of one slot.
+    # The same vectors as one block, and each as a block of one slot. The
+    # record's bounds run from 0 to the link count, one slot at a time.
     block = np.array(vectors)
-    rows = decode(block)
-    assert len(rows) == len(vectors)
-    assert decode(block[:0]) == []
+    block_receivers, block_senders, bounds = decode(block)
+    assert bounds[0] == 0 and bounds.size == len(vectors) + 1
+    assert bounds[-1] == block_receivers.size == block_senders.size
+    assert np.all(np.diff(bounds) >= 0)
+    *empty, empty_bounds = decode(block[:0])
+    assert [(links.dtype, links.size) for links in empty] == [(np.int64, 0)] * 2
+    assert empty_bounds.tolist() == [0]
+    counts = []
     for k, b in enumerate(vectors):
         want_receivers, want_senders = _collision_rule(g, b)
-        [one_slot] = decode(block[k:k + 1])
-        for receivers, senders in (decoding_links(g, b), rows[k], one_slot):
+        counts.append(len(want_receivers))
+        *one_slot, one_bounds = decode(block[k:k + 1])
+        assert one_bounds.tolist() == [0, len(want_receivers)]
+        lo, hi = bounds[k], bounds[k + 1]
+        for receivers, senders in (decoding_links(g, b), (block_receivers[lo:hi], block_senders[lo:hi]), one_slot):
             assert receivers.dtype == np.int64 and senders.dtype == np.int64
             assert receivers.tolist() == want_receivers
             assert senders.tolist() == want_senders
             assert np.all(np.diff(receivers) > 0)
+    assert np.diff(bounds).tolist() == counts
 
 
 @pytest.mark.parametrize("name", sorted(DECODER_GRAPHS))
@@ -335,12 +345,13 @@ def test_decoder_code_width_leaves_the_links_unchanged(monkeypatch, name):
     for per_word in (packed, 1):
         monkeypatch.setattr(mac, "slots_per_word", lambda _: per_word)
         decoded[per_word] = link_decoder(g)(block)
-    assert len(decoded[packed]) == len(decoded[1]) == len(block)
-    for (receivers, senders), (wide_receivers, wide_senders) in zip(decoded[packed], decoded[1]):
-        for links in (receivers, senders, wide_receivers, wide_senders):
-            assert links.dtype == np.int64
-        assert np.array_equal(receivers, wide_receivers)
-        assert np.array_equal(senders, wide_senders)
+    (receivers, senders, bounds), (wide_receivers, wide_senders, wide_bounds) = decoded[packed], decoded[1]
+    assert bounds.size == wide_bounds.size == len(block) + 1
+    for links in (receivers, senders, wide_receivers, wide_senders):
+        assert links.dtype == np.int64
+    assert np.array_equal(receivers, wide_receivers)
+    assert np.array_equal(senders, wide_senders)
+    assert np.array_equal(bounds, wide_bounds)
 
 
 @pytest.mark.parametrize("g, tight", [
@@ -363,12 +374,12 @@ def test_decoder_fields_carry_nothing_into_the_next_slot(g, tight):
     assert (max(sums) >= 2 ** (width - 1)) == tight
     all_but_one = np.ones((g.n, g.n), dtype=np.int64) - np.eye(g.n, dtype=np.int64)
     for block in (np.ones((3 * per_word + 1, g.n), dtype=np.int64), np.tile(all_but_one, (per_word, 1))):
-        rows = link_decoder(g)(block)
-        assert len(rows) == len(block)
-        for b, (receivers, senders) in zip(block, rows):
+        receivers, senders, bounds = link_decoder(g)(block)
+        assert bounds.size == len(block) + 1
+        for b, lo, hi in zip(block, bounds, bounds[1:]):
             want_receivers, want_senders = _collision_rule(g, b)
-            assert receivers.tolist() == want_receivers
-            assert senders.tolist() == want_senders
+            assert receivers[lo:hi].tolist() == want_receivers
+            assert senders[lo:hi].tolist() == want_senders
 
 
 def _slot_by_slot(g, policy, task, data, test, iterations, step_size, seed, batch_size=None):
@@ -491,14 +502,15 @@ def test_block_constants_leave_the_trace_unchanged(monkeypatch, run):
 
 
 def test_train_blocks_follow_the_code_width(monkeypatch):
-    # ring(8) packs 10 slots a word, whose decode call counts
-    # 10 * (24 * 8 + 512) + 1024 = 8064 bytes. A bound of two such words
-    # gives blocks of 20 slots; at one slot a word, a word counts 1728
-    # bytes and a block holds 9. Each block is one call; the last is short.
+    # ring(8) packs 10 slots a word, whose draw and decode call count
+    # 10 * (24 * 8 + 16) + 1536 + 10 * 8 = 3696 bytes. A bound of two such
+    # words gives blocks of 20 slots; at one slot a word, a word counts
+    # 8 * (16 + 2 * 8) + 1536 + 8 = 1800 bytes and a block holds 4. Each
+    # block is one call; the last is short.
     g = ring(8)
     data, test = generate_regression_data(8, 5, seed=0)
     assert mac.slots_per_word(g) == 10
-    monkeypatch.setattr(learning, "DECODE_BLOCK_BYTES", 2 * 8064)
+    monkeypatch.setattr(learning, "DECODE_BLOCK_BYTES", 2 * 3696)
     calls, sample = [], learning.sample_broadcast
 
     def sampling(policy, rng, slots):
@@ -507,7 +519,7 @@ def test_train_blocks_follow_the_code_width(monkeypatch):
 
     monkeypatch.setattr("radsgd.learning.sample_broadcast", sampling)
     traces = []
-    for per_word, blocks in ((10, [20, 20, 5]), (1, [9, 9, 9, 9, 9])):
+    for per_word, blocks in ((10, [20, 20, 5]), (1, [4] * 11 + [1])):
         monkeypatch.setattr(mac, "slots_per_word", lambda _: per_word)
         monkeypatch.setattr(learning, "slots_per_word", lambda _: per_word)
         calls.clear()

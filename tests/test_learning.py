@@ -347,19 +347,23 @@ def test_minibatch_draw_stays_within_the_block_bound(monkeypatch, samples, batch
 
 @pytest.mark.parametrize("graph", ["er20", "er400", "ring1000"])
 def test_decode_calls_stay_within_the_block_bound(monkeypatch, graph):
-    # train sizes a block so that its decode call holds at most
-    # DECODE_BLOCK_BYTES at its peak: the gather and sums over the block's
-    # words, then the unpacked sums, the links and their Python objects.
+    # train sizes a block so that its broadcast draw and decode call hold at
+    # most DECODE_BLOCK_BYTES at their peak, measured from the draw through
+    # the decode call: the draw, whose rows stay alive, the gather and sums
+    # over the block's words, then the unpacked sums and the record.
     # p is the throughput optimum, where the most links are decoded.
     g = {"er20": erdos_renyi(20, 0.3, seed=2), "er400": erdos_renyi(400, 0.025, seed=2), "ring1000": ring(1000)}[graph]
     data, test = generate_regression_data(g.n, 4, seed=4)
-    calls, bind = [], radsgd.learning.link_decoder
+    calls, bind, sample = [], radsgd.learning.link_decoder, radsgd.learning.sample_broadcast
+
+    def sampling(policy, rng, slots):
+        tracemalloc.start()
+        return sample(policy, rng, slots)
 
     def binding(graph):
         decode = bind(graph)
 
         def measured(b):
-            tracemalloc.start()
             try:
                 links = decode(b)
                 calls.append((len(b), tracemalloc.get_traced_memory()[1]))
@@ -369,6 +373,7 @@ def test_decode_calls_stay_within_the_block_bound(monkeypatch, graph):
 
         return measured
 
+    monkeypatch.setattr(radsgd.learning, "sample_broadcast", sampling)
     monkeypatch.setattr(radsgd.learning, "link_decoder", binding)
     train(g, AccessPolicy.uniform(g.n, optimal_access_probability(g)), regression_task(), data, test,
           iterations=500, step_size=0.05)

@@ -56,8 +56,8 @@ def test_block_draw_equals_one_slot_draws(n, p):
     for slots in (1, 7, 0, 30):
         block = sample_broadcast(policy, block_rng, slots)
         one_slot = [sample_broadcast(policy, slot_rng) for _ in range(slots)]
-        assert block.shape == (slots, n) and block.dtype == np.int64
-        assert np.array_equal(block, np.array(one_slot, dtype=np.int64).reshape(slots, n))
+        assert block.shape == (slots, n) and block.dtype == bool
+        assert np.array_equal(block, np.array(one_slot, dtype=bool).reshape(slots, n))
         assert block_rng.bit_generator.state == slot_rng.bit_generator.state
 
 
@@ -574,9 +574,13 @@ def test_node_labels_move_no_throughput_bit(graphs, seed):
     block = (np.random.default_rng(seed).random((8, g.n)) < 0.3).astype(np.int64)
     relabelled = np.empty_like(block)
     relabelled[:, perm] = block
-    for (receivers, senders), got in zip(link_decoder(g)(block), link_decoder(h)(relabelled)):
-        order = np.argsort(perm[receivers])
-        assert np.array_equal(got[0], perm[receivers][order]) and np.array_equal(got[1], perm[senders][order])
+    receivers, senders, bounds = link_decoder(g)(block)
+    *got, got_bounds = link_decoder(h)(relabelled)
+    assert np.array_equal(got_bounds, bounds)
+    for lo, hi in zip(bounds, bounds[1:]):
+        order = np.argsort(perm[receivers[lo:hi]])
+        assert np.array_equal(got[0][lo:hi], perm[receivers[lo:hi]][order])
+        assert np.array_equal(got[1][lo:hi], perm[senders[lo:hi]][order])
     # The rate reads L^+ in label order, so it keeps only _rate_solver's stated error.
     eps = mixing.default_epsilon(g)
     rate_ps = np.linspace(0.0, 1.0, 26)
